@@ -130,6 +130,24 @@ def approx_token_count(text: str) -> int:
     return len(text.split())
 
 
+def _read_completion(response: requests.Response) -> tuple:
+    """(text, prompt tokens, completion tokens) of a 200 chat-completions body.
+
+    Raises ValueError when the body is not JSON or lacks ``choices[0]``; the
+    caller retries such a response like a failed request.
+    """
+    payload = response.json()  # requests' JSONDecodeError is a ValueError
+    try:
+        choice = payload["choices"][0]
+        text = choice.get("message", {}).get("content")
+        if text is None:
+            text = choice.get("text", "")
+        usage = payload.get("usage", {})
+        return text, int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"no usable choices[0] in response body ({exc!r})") from exc
+
+
 class HttpBackend:
     """Client for a chat/completions-style JSON endpoint.
 
@@ -198,16 +216,18 @@ class HttpBackend:
                     "backend HTTP %d (attempt %d): %s", last_status, attempt + 1, last_body
                 )
                 continue
-            payload = response.json()
-            choice = payload["choices"][0]
-            text = choice.get("message", {}).get("content")
-            if text is None:
-                text = choice.get("text", "")
-            usage = payload.get("usage", {})
+            try:
+                text, input_tokens, output_tokens = _read_completion(response)
+            except ValueError as exc:
+                last_status, last_body = response.status_code, response.text[:200]
+                logger.warning(
+                    "backend malformed response (attempt %d): %s", attempt + 1, exc
+                )
+                continue
             result = GenResponse(
                 text=text,
-                input_tokens=int(usage.get("prompt_tokens", 0)),
-                output_tokens=int(usage.get("completion_tokens", 0)),
+                input_tokens=input_tokens,
+                output_tokens=output_tokens,
                 latency=time.monotonic() - started,
             )
             if self.ledger is not None:

@@ -77,6 +77,10 @@ class RunConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.path_limit < 1:
             raise ConfigError(f"path_limit must be >= 1, got {self.path_limit}")
+        if self.truncation_chars < 1:
+            raise ConfigError(f"truncation_chars must be >= 1, got {self.truncation_chars}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.pipeline not in PIPELINE_MODES:
             raise ConfigError(f"pipeline must be one of {PIPELINE_MODES}, got {self.pipeline!r}")
         if self.evidence_mode not in EVIDENCE_MODES:

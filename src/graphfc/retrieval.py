@@ -7,6 +7,7 @@ concurrent searches are safe.  Scoring is classic Okapi BM25 with the
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -19,7 +20,7 @@ CONCAT_SEPARATOR = "\n"
 GOLD_SCORE = float("inf")
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -97,17 +98,34 @@ def bm25_term_score(
 
 
 class Index:
-    """Immutable inverted index with BM25 search."""
+    """Immutable inverted index with BM25 search.
+
+    ``postings`` maps each term to parallel ``(ordinals, tfs)`` lists in
+    ascending ordinal order.  ``weights`` maps it to the matching
+    query-independent BM25 weights, computed here once with the operations of
+    ``bm25_term_score`` in the same order, so a search only adds them up and
+    its scores are bit-identical to summing ``bm25_term_score`` per posting.
+    """
 
     def __init__(self, documents, postings, doc_lengths, k1, b):
         self.documents: Tuple = tuple(documents)
-        self.postings: dict = postings  # term -> list of (ordinal, tf)
+        if not self.documents:
+            raise CorpusError("index has no documents")
+        self.postings: dict = postings  # term -> (ordinals, tfs)
         self.doc_lengths: Tuple = tuple(doc_lengths)
         self.k1 = k1
         self.b = b
         self.doc_count = len(self.documents)
         self.avg_doc_length = sum(self.doc_lengths) / self.doc_count
         self._by_id = {doc.doc_id: doc for doc in self.documents}
+        norms = [k1 * (1.0 - b + b * n / self.avg_doc_length) for n in self.doc_lengths]
+        scale = k1 + 1.0
+        self.weights: dict = {}  # term -> weights, parallel to postings[term]
+        for term, (ordinals, tfs) in postings.items():
+            idf = bm25_idf(self.doc_count, len(ordinals))
+            self.weights[term] = [
+                idf * tf * scale / (tf + norms[o]) for o, tf in zip(ordinals, tfs)
+            ]
 
     def get_document(self, doc_id: str) -> Optional[Document]:
         return self._by_id.get(doc_id)
@@ -136,11 +154,13 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
         for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
         for term, tf in counts.items():
-            postings.setdefault(term, []).append((ordinal, tf))
+            entry = postings.get(term)
+            if entry is None:
+                entry = postings[term] = ([], [])
+            entry[0].append(ordinal)
+            entry[1].append(tf)
         documents.append(doc)
         doc_lengths.append(len(tokens))
-    if not documents:
-        raise CorpusError("corpus is empty")
     return Index(documents, postings, doc_lengths, k1, b)
 
 
@@ -154,26 +174,30 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = tokenize(query)
-    if not terms:
-        return EMPTY_BUNDLE
     scores: dict = {}
-    for term in terms:
-        for ordinal, tf in index.postings.get(term, ()):
-            contribution = bm25_term_score(
-                tf,
-                len(index.postings[term]),
-                index.doc_count,
-                index.doc_lengths[ordinal],
-                index.avg_doc_length,
-                index.k1,
-                index.b,
-            )
-            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
+    for term in tokenize(query):
+        entry = index.postings.get(term)
+        if entry is None:
+            continue
+        weights = index.weights[term]
+        if not scores:
+            scores = dict(zip(entry[0], weights))
+            continue
+        # Terms add in query order, so every document's float sum is the one
+        # a per-posting loop over bm25_term_score would produce.
+        get = scores.get
+        for ordinal, weight in zip(entry[0], weights):
+            scores[ordinal] = get(ordinal, 0.0) + weight
+    if not scores:
+        return EMPTY_BUNDLE
+    # Every document scoring at or above the k-th best score, ranked exactly.
+    kth = heapq.nlargest(k, scores.values())[-1]
+    documents = index.documents
     ranked = sorted(
-        scores.items(), key=lambda item: (-item[1], index.documents[item[0]].doc_id)
+        (item for item in scores.items() if item[1] >= kth),
+        key=lambda item: (-item[1], documents[item[0]].doc_id),
     )
-    return _bundle((index.documents[o], s) for o, s in ranked[:k])
+    return _bundle((documents[o], s) for o, s in ranked[:k])
 
 
 def merge_gold(retrieved: EvidenceBundle, gold: List[Document], k: int) -> EvidenceBundle:
@@ -223,6 +247,11 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
+    """Write the index as JSON, format v2.
+
+    Postings are saved per term as ``[ordinals, tfs]``; the BM25 weights are
+    recomputed on load rather than stored as float text.
+    """
     payload = {
         "magic": INDEX_MAGIC,
         "version": INDEX_VERSION,
@@ -230,22 +259,29 @@ def save_index(index: Index, path: str) -> None:
         "b": index.b,
         "documents": [[d.doc_id, d.title, d.text] for d in index.documents],
         "doc_lengths": list(index.doc_lengths),
-        "postings": {term: plist for term, plist in index.postings.items()},
+        "postings": index.postings,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False)
 
 
 def load_index(path: str) -> Index:
+    """Read an index written by save_index.
+
+    Raises CorpusError for a file that is not a graphfc index, for another
+    format version (older files must be rebuilt), and for an index with no
+    documents.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("magic") != INDEX_MAGIC:
         raise CorpusError(f"{path}: not a graphfc index file")
-    if payload.get("version") != INDEX_VERSION:
-        raise CorpusError(f"{path}: unsupported index version {payload.get('version')}")
+    version = payload.get("version")
+    if version != INDEX_VERSION:
+        raise CorpusError(
+            f"{path}: unsupported index format version {version} (this graphfc reads "
+            f"version {INDEX_VERSION}); re-run `graphfc index` to rebuild it"
+        )
     documents = [Document(*row) for row in payload["documents"]]
-    postings = {
-        term: [(int(o), int(tf)) for o, tf in plist]
-        for term, plist in payload["postings"].items()
-    }
+    postings = {term: (ordinals, tfs) for term, (ordinals, tfs) in payload["postings"].items()}
     return Index(documents, postings, payload["doc_lengths"], payload["k1"], payload["b"])

@@ -11,9 +11,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class StubServer:
     """Serves canned chat-completions responses with injectable failures.
 
-    ``plan(...)`` queues per-request behaviors; each entry is either an HTTP
-    error status (int) or a (content, prompt_tokens, completion_tokens) tuple.
-    When the queue is empty a default 200 response is served.
+    ``plan(...)`` queues per-request behaviors; each entry is an HTTP error
+    status (int), a raw 200 response body (bytes), or a (content,
+    prompt_tokens, completion_tokens) tuple.  When the queue is empty a
+    default 200 response is served.
     """
 
     def __init__(self):
@@ -39,16 +40,19 @@ class StubServer:
                     self.end_headers()
                     self.wfile.write(payload)
                     return
-                content, prompt_tokens, completion_tokens = action
-                payload = json.dumps(
-                    {
-                        "choices": [{"message": {"content": content}}],
-                        "usage": {
-                            "prompt_tokens": prompt_tokens,
-                            "completion_tokens": completion_tokens,
-                        },
-                    }
-                ).encode()
+                if isinstance(action, bytes):
+                    payload = action
+                else:
+                    content, prompt_tokens, completion_tokens = action
+                    payload = json.dumps(
+                        {
+                            "choices": [{"message": {"content": content}}],
+                            "usage": {
+                                "prompt_tokens": prompt_tokens,
+                                "completion_tokens": completion_tokens,
+                            },
+                        }
+                    ).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

@@ -253,6 +253,17 @@ class TestHttpBackend:
         assert err.value.status == 500
         assert "injected 500" in err.value.body
 
+    @pytest.mark.parametrize("body", [b"<html>not json</html>", b'{"choices": []}', b'{"usage": {}}'])
+    def test_malformed_200_is_retried_then_backend_error(self, stub, body):
+        stub.plan(body, ("recovered", 5, 2))
+        backend = self.make(stub, max_attempts=3)
+        assert backend.complete(greedy("p")).text == "recovered"
+        stub.plan(body, body, body)
+        with pytest.raises(BackendError) as err:
+            backend.complete(greedy("p"))
+        assert stub.request_count == 5
+        assert err.value.body == body.decode()
+
     def test_ledger_records_usage(self, stub):
         stub.plan(("a", 100, 10), ("b", 200, 20))
         ledger = CostLedger({"stub-model": (0.25, 1.5)})

@@ -7,6 +7,7 @@ below, independently of the index implementation, and frozen here.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -99,8 +100,8 @@ class TestBuildIndex:
             Document("geragos", "Mark Geragos", "Mark Geragos was involved in the scandal."),
         ]
         index = build_index(docs)
-        assert index.postings["shakespeare"] == [(0, 1)]
-        assert index.postings["mab"] == [(0, 2)]  # once in title, once in text
+        assert index.postings["shakespeare"] == ([0], [1])
+        assert index.postings["mab"] == ([0], [2])  # once in title, once in text
 
 
 class TestSearch:
@@ -233,6 +234,45 @@ class TestProperties:
         assert high >= low
 
 
+def brute_force_search(index, query, k):
+    """Reference scorer: bm25_term_score summed per posting, full sort."""
+    scores = {}
+    for term in tokenize(query):
+        ordinals, tfs = index.postings.get(term, ((), ()))
+        for ordinal, tf in zip(ordinals, tfs):
+            contribution = bm25_term_score(
+                tf, len(ordinals), index.doc_count, index.doc_lengths[ordinal],
+                index.avg_doc_length, index.k1, index.b,
+            )
+            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], index.documents[item[0]].doc_id))
+    return [(index.documents[o].doc_id, s) for o, s in ranked[:k]]
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+_TEXTS = st.lists(_WORDS, min_size=1, max_size=8).map(" ".join)
+
+
+@st.composite
+def corpora(draw):
+    """Small corpora over a six-word vocabulary, with verbatim duplicates so
+    that distinct documents score exactly alike."""
+    texts = draw(st.lists(_TEXTS, min_size=1, max_size=12))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=4))
+    ids = draw(st.permutations([f"doc{i:02d}" for i in range(len(texts))]))
+    return [Document(doc_id, "", text) for doc_id, text in zip(ids, texts)]
+
+
+class TestSearchMatchesReference:
+    @given(corpora(), st.lists(_WORDS, min_size=1, max_size=6).map(" ".join),
+           st.integers(min_value=1, max_value=20))
+    @settings(max_examples=200, deadline=None)
+    def test_same_ranking_and_bit_equal_scores(self, docs, query, k):
+        index = build_index(docs)
+        got = [(doc.doc_id, score) for doc, score in search(index, query, k).docs]
+        assert got == brute_force_search(index, query, k)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path, tiny_index):
         path = tmp_path / "index.json"
@@ -246,6 +286,25 @@ class TestPersistence:
         path = tmp_path / "bogus.json"
         path.write_text('{"documents": []}')
         with pytest.raises(CorpusError, match="not a graphfc index"):
+            load_index(str(path))
+
+    def test_empty_index_is_rejected(self, tmp_path, tiny_index):
+        path = tmp_path / "empty.json"
+        save_index(tiny_index, str(path))
+        payload = json.loads(path.read_text())
+        payload.update(documents=[], doc_lengths=[], postings={})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError, match="index has no documents"):
+            load_index(str(path))
+
+    def test_version_1_file_is_rejected(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "magic": "graphfc-index", "version": 1, "k1": 1.2, "b": 0.75,
+            "documents": [["d1", "alpha", "x"]], "doc_lengths": [2],
+            "postings": {"alpha": [[0, 1]], "x": [[0, 1]]},
+        }))
+        with pytest.raises(CorpusError, match="re-run `graphfc index`"):
             load_index(str(path))
 
 
