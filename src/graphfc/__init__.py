@@ -53,6 +53,7 @@ from .retrieval import (
 from .verdict import (
     DocStrategy,
     Label,
+    PipelineOptions,
     StrategyChoice,
     VerdictTrace,
     direct_verify,

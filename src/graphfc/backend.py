@@ -105,7 +105,7 @@ class CostLedger:
 
     def per_purpose(self) -> Dict[str, PurposeTotals]:
         with self._lock:
-            return {p: replace_totals(t) for p, t in self._per_purpose.items()}
+            return {p: replace(t) for p, t in self._per_purpose.items()}
 
     def totals(self) -> PurposeTotals:
         out = PurposeTotals()
@@ -117,12 +117,6 @@ class CostLedger:
             out.wall_seconds += totals.wall_seconds
             out.cost += totals.cost
         return out
-
-
-def replace_totals(t: PurposeTotals) -> PurposeTotals:
-    return PurposeTotals(
-        t.requests, t.cache_hits, t.input_tokens, t.output_tokens, t.wall_seconds, t.cost
-    )
 
 
 def approx_token_count(text: str) -> int:
@@ -148,12 +142,18 @@ def _read_completion(response: requests.Response) -> tuple:
         raise ValueError(f"no usable choices[0] in response body ({exc!r})") from exc
 
 
+def _retryable(status: int) -> bool:
+    """Whether a non-200 status can succeed on a later attempt."""
+    return status in (408, 429) or not 400 <= status < 500
+
+
 class HttpBackend:
     """Client for a chat/completions-style JSON endpoint.
 
     Sends ``{"model", "messages", "max_tokens", "temperature", "top_p"}`` and
-    reads the first choice's message content plus the usage block.  Failures
-    are retried with jittered exponential backoff up to ``max_attempts``.
+    reads the first choice's message content plus the usage block.  Connection
+    errors, malformed 200 bodies, 408, 429 and 5xx are retried with jittered
+    exponential backoff up to ``max_attempts``; any other 4xx fails at once.
     """
 
     def __init__(
@@ -194,10 +194,12 @@ class HttpBackend:
         started = time.monotonic()
         last_status: Optional[int] = None
         last_body = ""
+        attempts = 0
         for attempt in range(self.max_attempts):
             if attempt:
                 delay = self.retry_base_delay * (2 ** (attempt - 1))
                 time.sleep(delay * self._rng.uniform(0.5, 1.5))
+            attempts += 1
             try:
                 response = self._session.post(
                     self.endpoint,
@@ -215,6 +217,8 @@ class HttpBackend:
                 logger.warning(
                     "backend HTTP %d (attempt %d): %s", last_status, attempt + 1, last_body
                 )
+                if not _retryable(last_status):
+                    break
                 continue
             try:
                 text, input_tokens, output_tokens = _read_completion(response)
@@ -234,7 +238,7 @@ class HttpBackend:
                 self.ledger.record(req.purpose, self.model, result)
             return result
         raise BackendError(
-            f"request failed after {self.max_attempts} attempts"
+            f"request failed after {attempts} attempt{'s' if attempts != 1 else ''}"
             + (f" (HTTP {last_status})" if last_status else ""),
             status=last_status,
             body=last_body,
@@ -503,22 +507,26 @@ class GenPolicy:
     decode_mode: str = GREEDY
 
 
-GRAPH_POLICY = GenPolicy(max_new_tokens=1024, temperature=0.0, top_p=1.0)
-SHORT_ANSWER_POLICY = GenPolicy(max_new_tokens=32)
+# Generation policy of each role when none is configured: the constructor
+# emits a whole graph, the other roles a short answer.
+DEFAULT_POLICIES = {
+    PURPOSE_GRAPH: GenPolicy(max_new_tokens=1024),
+    PURPOSE_INFILL: GenPolicy(),
+    PURPOSE_VERIFY: GenPolicy(),
+    PURPOSE_SELECT: GenPolicy(),
+}
 
 
 @dataclass
 class BackendSuite:
-    """One backend (and generation policy) per pipeline role."""
+    """One backend per pipeline role, in fields named after the purposes, and
+    one generation policy per purpose."""
 
     graph_construction: object
     infilling: object
     verification: object
     selection: object
-    graph_policy: GenPolicy = field(default_factory=lambda: GRAPH_POLICY)
-    infill_policy: GenPolicy = field(default_factory=lambda: SHORT_ANSWER_POLICY)
-    verify_policy: GenPolicy = field(default_factory=lambda: SHORT_ANSWER_POLICY)
-    select_policy: GenPolicy = field(default_factory=lambda: SHORT_ANSWER_POLICY)
+    policies: Dict[str, GenPolicy] = field(default_factory=DEFAULT_POLICIES.copy)
 
     @classmethod
     def single(cls, backend, **kwargs) -> "BackendSuite":
@@ -526,12 +534,7 @@ class BackendSuite:
         return cls(backend, backend, backend, backend, **kwargs)
 
     def request(self, purpose: str, prompt: str) -> GenRequest:
-        policy = {
-            PURPOSE_GRAPH: self.graph_policy,
-            PURPOSE_INFILL: self.infill_policy,
-            PURPOSE_VERIFY: self.verify_policy,
-            PURPOSE_SELECT: self.select_policy,
-        }[purpose]
+        policy = self.policies[purpose]
         return GenRequest(
             prompt=prompt,
             max_new_tokens=policy.max_new_tokens,
@@ -542,25 +545,11 @@ class BackendSuite:
         )
 
     def backend_for(self, purpose: str):
-        return {
-            PURPOSE_GRAPH: self.graph_construction,
-            PURPOSE_INFILL: self.infilling,
-            PURPOSE_VERIFY: self.verification,
-            PURPOSE_SELECT: self.selection,
-        }[purpose]
+        return getattr(self, purpose)
 
     def complete(self, purpose: str, prompt: str) -> GenResponse:
         return self.backend_for(purpose).complete(self.request(purpose, prompt))
 
     def counted(self) -> "BackendSuite":
         """A view of this suite with every role wrapped in a CountingBackend."""
-        return BackendSuite(
-            CountingBackend(self.graph_construction),
-            CountingBackend(self.infilling),
-            CountingBackend(self.verification),
-            CountingBackend(self.selection),
-            self.graph_policy,
-            self.infill_policy,
-            self.verify_policy,
-            self.select_policy,
-        )
+        return replace(self, **{p: CountingBackend(self.backend_for(p)) for p in PURPOSES})

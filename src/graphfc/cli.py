@@ -15,16 +15,30 @@ import sys
 from typing import List, Optional
 
 from .backend import BackendError, CostLedger
-from .config import ConfigError, RunConfig, build_backends, load_config
+from .config import (
+    EVIDENCE_MODES,
+    SCALAR_FIELDS,
+    ConfigError,
+    RunConfig,
+    build_backends,
+    load_config,
+)
 from .evaluate import (
+    DATASET_FORMATS,
     AbortThresholdError,
     DataError,
     load_dataset,
     run_eval,
 )
-from .infill import PathBudget
 from .retrieval import CorpusError, build_index, load_index, read_corpus, save_index
-from .verdict import DocStrategy, format_trace, format_trace_dict, run_pipeline, trace_to_dict
+from .verdict import (
+    PIPELINE_MODES,
+    DocStrategy,
+    format_trace,
+    format_trace_dict,
+    run_pipeline,
+    trace_to_dict,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -42,24 +56,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per scalar config field except ``include_definitions``."""
+    strategies = [s.value for s in DocStrategy]
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--corpus", help="corpus JSONL path")
     parser.add_argument("--index", dest="index_path", help="index file path")
     parser.add_argument("--dataset", help="dataset JSONL path")
     parser.add_argument("--format", dest="dataset_format",
-                        choices=["hover", "exfever", "generic"], help="dataset format")
+                        choices=DATASET_FORMATS, help="dataset format")
     parser.add_argument("--k", type=int, help="retrieval depth")
     parser.add_argument("--path-limit", dest="path_limit", type=int,
                         help="max identification paths per claim")
     parser.add_argument("--seed", type=int, help="path sampling seed")
-    parser.add_argument("--pipeline", choices=["dp_graphcheck", "graphcheck", "direct"],
-                        help="pipeline mode")
+    parser.add_argument("--pipeline", choices=PIPELINE_MODES, help="pipeline mode")
     parser.add_argument("--evidence-mode", dest="evidence_mode",
-                        choices=["open_book", "open_book_gold"], help="evidence assembly mode")
-    parser.add_argument("--direct-strategy", dest="direct_strategy",
-                        choices=["concat", "each", "concat_each"])
-    parser.add_argument("--graphcheck-strategy", dest="graphcheck_strategy",
-                        choices=["concat", "each", "concat_each"])
+                        choices=EVIDENCE_MODES, help="evidence assembly mode")
+    parser.add_argument("--direct-strategy", dest="direct_strategy", choices=strategies)
+    parser.add_argument("--graphcheck-strategy", dest="graphcheck_strategy", choices=strategies)
     parser.add_argument("--blank-token", dest="blank_token", help="infilling sentinel token")
     parser.add_argument("--truncation-chars", dest="truncation_chars", type=int,
                         help="max chars per evidence input")
@@ -68,29 +81,9 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--traces", dest="traces_path", help="traces JSONL output path")
 
 
-_OVERRIDE_NAMES = (
-    "corpus", "index_path", "dataset", "dataset_format", "k", "path_limit", "seed",
-    "pipeline", "evidence_mode", "direct_strategy", "graphcheck_strategy",
-    "blank_token", "truncation_chars", "workers", "report_path", "traces_path",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {name: getattr(args, name, None) for name in _OVERRIDE_NAMES}
+    overrides = {name: getattr(args, name, None) for name in SCALAR_FIELDS}
     return load_config(args.config, overrides)
-
-
-def _pipeline_kwargs(config: RunConfig) -> dict:
-    return {
-        "mode": config.pipeline,
-        "budget": PathBudget(config.path_limit, config.seed),
-        "k": config.k,
-        "direct_strategy": DocStrategy(config.direct_strategy),
-        "graphcheck_strategy": DocStrategy(config.graphcheck_strategy),
-        "blank_token": config.blank_token,
-        "include_definitions": config.include_definitions,
-        "truncation_chars": config.truncation_chars,
-    }
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -132,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claim_id=claim_id,
         pregenerated_graph=pregenerated,
         gold_docs=gold_docs or None,
-        **_pipeline_kwargs(config),
+        **vars(config.pipeline_options()),
     )
     print(format_trace(trace))
     trace_out = args.trace_out
@@ -160,7 +153,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         gold_mode=config.evidence_mode == "open_book_gold",
         workers=config.workers,
         ledger=ledger,
-        **_pipeline_kwargs(config),
+        **vars(config.pipeline_options()),
     )
     with open(config.report_path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, ensure_ascii=False, sort_keys=True, indent=2)

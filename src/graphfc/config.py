@@ -10,24 +10,27 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union, get_args, get_origin, get_type_hints
 
 from .backend import (
+    DEFAULT_POLICIES,
     PURPOSES,
     BackendSuite,
+    CachedBackend,
     CostLedger,
     GenPolicy,
     HttpBackend,
     ResponseCache,
-    CachedBackend,
     ScriptedBackend,
-    load_script,
+    scripted_from_file,
 )
-from .graph import DEFAULT_BLANK_TOKEN
-from .verdict import DocStrategy
+from .infill import PathBudget
+from .verdict import PipelineOptions
 
-PIPELINE_MODES = ("dp_graphcheck", "graphcheck", "direct")
 EVIDENCE_MODES = ("open_book", "open_book_gold")
+
+_PIPELINE_DEFAULTS = PipelineOptions()
+
 
 class ConfigError(ValueError):
     """Raised for unusable configuration (bad values, unresolvable paths)."""
@@ -41,7 +44,7 @@ class BackendConfig:
     api_key_env: str = ""
     script: Optional[str] = None
     cache_path: Optional[str] = None
-    max_new_tokens: int = 32
+    max_new_tokens: Optional[int] = None  # None: the role's default in DEFAULT_POLICIES
     temperature: float = 0.0
     top_p: float = 1.0
     decode_mode: str = "greedy"
@@ -56,42 +59,45 @@ class RunConfig:
     index_path: Optional[str] = None
     dataset: Optional[str] = None
     dataset_format: str = "generic"
-    k: int = 10
-    path_limit: int = 5
-    seed: int = 0
-    pipeline: str = "dp_graphcheck"
+    k: int = _PIPELINE_DEFAULTS.k
+    path_limit: int = _PIPELINE_DEFAULTS.budget.limit
+    seed: int = _PIPELINE_DEFAULTS.budget.seed
+    pipeline: str = _PIPELINE_DEFAULTS.mode
     evidence_mode: str = "open_book"
-    direct_strategy: str = "concat"
-    graphcheck_strategy: str = "concat_each"
-    blank_token: str = DEFAULT_BLANK_TOKEN
-    truncation_chars: int = 6000
-    include_definitions: bool = True
+    direct_strategy: str = _PIPELINE_DEFAULTS.direct_strategy.value
+    graphcheck_strategy: str = _PIPELINE_DEFAULTS.graphcheck_strategy.value
+    blank_token: str = _PIPELINE_DEFAULTS.blank_token
+    truncation_chars: int = _PIPELINE_DEFAULTS.truncation_chars
+    include_definitions: bool = _PIPELINE_DEFAULTS.include_definitions
     workers: int = 1
     report_path: str = "report.json"
     traces_path: str = "traces.jsonl"
     backends: Dict[str, BackendConfig] = field(default_factory=dict)
     prices: Dict[str, tuple] = field(default_factory=dict)
 
+    def pipeline_options(self) -> PipelineOptions:
+        return PipelineOptions(
+            mode=self.pipeline,
+            budget=PathBudget(self.path_limit, self.seed),
+            k=self.k,
+            direct_strategy=self.direct_strategy,
+            graphcheck_strategy=self.graphcheck_strategy,
+            blank_token=self.blank_token,
+            include_definitions=self.include_definitions,
+            truncation_chars=self.truncation_chars,
+        )
+
     def validate(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.path_limit < 1:
-            raise ConfigError(f"path_limit must be >= 1, got {self.path_limit}")
-        if self.truncation_chars < 1:
-            raise ConfigError(f"truncation_chars must be >= 1, got {self.truncation_chars}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.pipeline not in PIPELINE_MODES:
-            raise ConfigError(f"pipeline must be one of {PIPELINE_MODES}, got {self.pipeline!r}")
         if self.evidence_mode not in EVIDENCE_MODES:
             raise ConfigError(
                 f"evidence_mode must be one of {EVIDENCE_MODES}, got {self.evidence_mode!r}"
             )
-        for name in (self.direct_strategy, self.graphcheck_strategy):
-            try:
-                DocStrategy(name)
-            except ValueError:
-                raise ConfigError(f"unknown document strategy {name!r}") from None
+        try:
+            self.pipeline_options()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def require_path(self, attribute: str) -> str:
         value = getattr(self, attribute)
@@ -102,20 +108,44 @@ class RunConfig:
         return value
 
 
-_SIMPLE_FIELDS = (
-    "corpus", "index_path", "dataset", "dataset_format", "k", "path_limit",
-    "seed", "pipeline", "evidence_mode", "direct_strategy", "graphcheck_strategy",
-    "blank_token", "truncation_chars", "include_definitions", "workers",
-    "report_path", "traces_path",
-)
+def _scalar_fields(cls) -> Dict[str, type]:
+    """Each field of a config dataclass that holds a JSON scalar, with its
+    type (``Optional[X]`` counts as ``X``)."""
+    found = {}
+    for name, hint in get_type_hints(cls).items():
+        if get_origin(hint) is Union:
+            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        if hint in (bool, int, float, str):
+            found[name] = hint
+    return found
 
 
-def _backend_config(raw: dict) -> BackendConfig:
-    known = {f for f in BackendConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+# The config keys a JSON file or a flag sets directly, with their types.
+SCALAR_FIELDS = _scalar_fields(RunConfig)
+_BACKEND_FIELDS = _scalar_fields(BackendConfig)
+
+
+def _checked(name: str, value, expected: type):
+    """``value`` if JSON decoding gives it type ``expected``; an int passes as a float."""
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be of type {expected.__name__}, got {value!r}")
+    return value
+
+
+def _backend_config(role: str, raw: dict) -> BackendConfig:
+    unknown = set(raw) - set(_BACKEND_FIELDS)
     if unknown:
         raise ConfigError(f"unknown backend config keys: {sorted(unknown)}")
-    return BackendConfig(**raw)
+    for name, value in raw.items():
+        if value is not None:
+            _checked(f"backend {role}: {name}", value, _BACKEND_FIELDS[name])
+    section = BackendConfig(**raw)
+    if section.max_new_tokens is not None and section.max_new_tokens < 1:
+        raise ConfigError(
+            f"backend {role}: max_new_tokens must be >= 1, got {section.max_new_tokens}"
+        )
+    return section
 
 
 def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunConfig:
@@ -130,13 +160,14 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     config = RunConfig()
-    for name in _SIMPLE_FIELDS:
-        if name in raw and raw[name] is not None:
-            setattr(config, name, raw[name])
+    given = {name: raw[name] for name in SCALAR_FIELDS if raw.get(name) is not None}
+    given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
+    for name, value in given.items():
+        setattr(config, name, _checked(name, value, SCALAR_FIELDS[name]))
     for role, section in raw.get("backends", {}).items():
         if role != "default" and role not in PURPOSES:
             raise ConfigError(f"unknown backend role {role!r}")
-        config.backends[role] = _backend_config(section)
+        config.backends[role] = _backend_config(role, section)
     for model, price in raw.get("prices", {}).items():
         if isinstance(price, dict):
             config.prices[model] = (
@@ -145,22 +176,19 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
             )
         else:
             config.prices[model] = (float(price[0]), float(price[1]))
-    for name, value in (overrides or {}).items():
-        if value is not None:
-            setattr(config, name, value)
     config.validate()
     return config
 
 
 def _build_one(role: str, section: BackendConfig, ledger: CostLedger, caches: dict):
     if section.type == "scripted":
+        model = section.model or "scripted"
         if not section.script:
-            backend = ScriptedBackend(model=section.model or "scripted", ledger=ledger)
+            backend = ScriptedBackend(model=model, ledger=ledger)
+        elif not os.path.exists(section.script):
+            raise ConfigError(f"backend {role}: script not found: {section.script}")
         else:
-            if not os.path.exists(section.script):
-                raise ConfigError(f"backend {role}: script not found: {section.script}")
-            backend = ScriptedBackend(model=section.model or "scripted", ledger=ledger)
-            backend._registrations.extend(load_script(section.script))
+            backend = scripted_from_file(section.script, model=model, ledger=ledger)
     elif section.type == "http":
         if not section.endpoint:
             raise ConfigError(f"backend {role}: endpoint is required for type=http")
@@ -190,30 +218,20 @@ def build_backends(config: RunConfig, ledger: CostLedger):
     shared ResponseCache stores.
     """
     caches: Dict[str, ResponseCache] = {}
-    built = {}
+    roles = {}
     policies = {}
     for role in PURPOSES:
         section = config.backends.get(role) or config.backends.get("default")
         if section is None:
             raise ConfigError(f"no backend configured for role {role!r} (and no default)")
-        built[role] = _build_one(role, section, ledger, caches)
-        max_tokens = section.max_new_tokens
-        if role == "graph_construction" and max_tokens == 32:
-            max_tokens = 1024  # constructor emits a whole graph, not a short answer
+        roles[role] = _build_one(role, section, ledger, caches)
+        max_new_tokens = section.max_new_tokens
+        if max_new_tokens is None:
+            max_new_tokens = DEFAULT_POLICIES[role].max_new_tokens
         policies[role] = GenPolicy(
-            max_new_tokens=max_tokens,
+            max_new_tokens=max_new_tokens,
             temperature=section.temperature,
             top_p=section.top_p,
             decode_mode=section.decode_mode,
         )
-    suite = BackendSuite(
-        built["graph_construction"],
-        built["infilling"],
-        built["verification"],
-        built["selection"],
-        graph_policy=policies["graph_construction"],
-        infill_policy=policies["infilling"],
-        verify_policy=policies["verification"],
-        select_policy=policies["selection"],
-    )
-    return suite, caches
+    return BackendSuite(**roles, policies=policies), caches

@@ -10,14 +10,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .backend import BackendSuite, CostLedger
-from .graph import DEFAULT_BLANK_TOKEN
-from .infill import PathBudget
 from .retrieval import EvidenceBundle, Index
 from .verdict import (
     DIRECT,
     GRAPHCHECK,
-    DocStrategy,
     Label,
+    PipelineOptions,
     StrategyChoice,
     VerdictTrace,
     run_pipeline,
@@ -274,20 +272,16 @@ def run_eval(
     index: Index,
     backends: BackendSuite,
     *,
-    mode: str = "dp_graphcheck",
-    budget: PathBudget = PathBudget(),
-    k: int = 10,
-    direct_strategy: DocStrategy = DocStrategy.CONCAT,
-    graphcheck_strategy: DocStrategy = DocStrategy.CONCAT_EACH,
-    blank_token: str = DEFAULT_BLANK_TOKEN,
-    include_definitions: bool = True,
-    truncation_chars: int = 6000,
     gold_mode: bool = False,
     workers: int = 1,
     ledger: Optional[CostLedger] = None,
     abort_error_fraction: float = 0.10,
+    **options,
 ) -> Tuple[EvalReport, List[VerdictTrace]]:
-    """Run the configured pipeline over every record and aggregate metrics.
+    """Run the pipeline over every record and aggregate metrics.
+
+    ``options`` are the fields of ``PipelineOptions``, passed on to
+    ``run_pipeline`` for each claim.
 
     Per-claim failures are recorded (the claim scores NotSupported, flagged in
     its trace); once errored claims exceed ``abort_error_fraction`` of the
@@ -296,6 +290,7 @@ def run_eval(
     """
     if not records:
         raise DataError("dataset is empty")
+    opts = PipelineOptions(**options)
 
     def resolve_gold(record: ClaimRecord):
         if not gold_mode or not record.gold_doc_ids:
@@ -310,24 +305,13 @@ def run_eval(
     def evaluate_one(record: ClaimRecord) -> VerdictTrace:
         try:
             return run_pipeline(
-                record.text,
-                index,
-                backends,
-                mode=mode,
-                claim_id=record.id,
+                record.text, index, backends, claim_id=record.id,
                 pregenerated_graph=record.pregenerated_graph,
-                gold_docs=resolve_gold(record),
-                budget=budget,
-                k=k,
-                direct_strategy=direct_strategy,
-                graphcheck_strategy=graphcheck_strategy,
-                blank_token=blank_token,
-                include_definitions=include_definitions,
-                truncation_chars=truncation_chars,
+                gold_docs=resolve_gold(record), **options,
             )
         except Exception as exc:  # noqa: BLE001 - errored claims are scored, not fatal
             logger.warning("claim %s failed: %s", record.id, exc)
-            fallback = DIRECT if mode == "direct" else GRAPHCHECK
+            fallback = DIRECT if opts.mode == "direct" else GRAPHCHECK
             return VerdictTrace(
                 claim_id=record.id,
                 claim_text=record.text,
@@ -377,13 +361,13 @@ def run_eval(
     )
     report = EvalReport(
         config={
-            "mode": mode,
-            "k": k,
-            "path_limit": budget.limit,
-            "seed": budget.seed,
+            "mode": opts.mode,
+            "k": opts.k,
+            "path_limit": opts.budget.limit,
+            "seed": opts.budget.seed,
             "evidence_mode": "open_book_gold" if gold_mode else "open_book",
-            "direct_strategy": direct_strategy.value,
-            "graphcheck_strategy": graphcheck_strategy.value,
+            "direct_strategy": opts.direct_strategy.value,
+            "graphcheck_strategy": opts.graphcheck_strategy.value,
             "n_claims": done,
         },
         overall=_group_metrics(rows),

@@ -53,7 +53,7 @@ class PathBudget:
 
     def __post_init__(self) -> None:
         if self.limit < 1:
-            raise ValueError("path limit must be >= 1")
+            raise ValueError(f"path_limit must be >= 1, got {self.limit}")
 
 
 @dataclass(frozen=True)

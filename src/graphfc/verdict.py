@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .backend import (
-    PURPOSE_GRAPH,
-    PURPOSE_INFILL,
-    PURPOSE_SELECT,
-    PURPOSE_VERIFY,
-    BackendSuite,
-)
+from .backend import PURPOSE_GRAPH, PURPOSE_SELECT, PURPOSE_VERIFY, PURPOSES, BackendSuite
 from .graph import (
     DEFAULT_BLANK_TOKEN,
     ClaimGraph,
@@ -29,7 +23,7 @@ from .graph import (
     parse_graph,
     render_sentence,
 )
-from .infill import InfillOutcome, Path, PathBudget, enumerate_paths, infill_path
+from .infill import InfillOutcome, PathBudget, enumerate_paths, infill_path
 from .prompts import build_graph_prompt, build_select_prompt, build_verify_prompt
 from .retrieval import CONCAT_SEPARATOR, EvidenceBundle, Index, retrieve
 
@@ -50,14 +44,44 @@ class DocStrategy(str, Enum):
 DIRECT = "Direct"
 GRAPHCHECK = "GraphCheck"
 
+PIPELINE_MODES = ("dp_graphcheck", "graphcheck", "direct")
+
 AFFIRMATIVE_ANSWERS = frozenset({"true", "yes", "supported"})
 NEGATIVE_ANSWERS = frozenset({"false", "no", "not"})
 
-DEFAULT_K = 10
-DEFAULT_PATH_LIMIT = 5
-DEFAULT_TRUNCATION_CHARS = 6000
-
 _FIRST_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+@dataclass(frozen=True)
+class PipelineOptions:
+    """The settings of one pipeline run.
+
+    ``mode`` is one of "dp_graphcheck" (the selector routes each claim),
+    "graphcheck" (always the graph pipeline) or "direct" (always one-shot
+    verification).  Strategies may be given as ``DocStrategy`` values or
+    their names.
+    """
+
+    mode: str = "dp_graphcheck"
+    budget: PathBudget = PathBudget()
+    k: int = 10
+    direct_strategy: DocStrategy = DocStrategy.CONCAT
+    graphcheck_strategy: DocStrategy = DocStrategy.CONCAT_EACH
+    blank_token: str = DEFAULT_BLANK_TOKEN
+    include_definitions: bool = True
+    truncation_chars: int = 6000
+
+    def __post_init__(self) -> None:
+        if self.mode not in PIPELINE_MODES:
+            raise ValueError(f"pipeline must be one of {PIPELINE_MODES}, got {self.mode!r}")
+        for name in ("k", "truncation_chars"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("direct_strategy", "graphcheck_strategy"):
+            try:
+                object.__setattr__(self, name, DocStrategy(getattr(self, name)))
+            except ValueError:
+                raise ValueError(f"unknown document strategy {getattr(self, name)!r}") from None
 
 
 def normalize_answer(text: str) -> str:
@@ -134,7 +158,9 @@ def truncated_concat(bundle: EvidenceBundle, budget: int) -> str:
 
 
 def evidence_texts(
-    bundle: EvidenceBundle, strategy: DocStrategy, budget: int = DEFAULT_TRUNCATION_CHARS
+    bundle: EvidenceBundle,
+    strategy: DocStrategy,
+    budget: int = PipelineOptions.truncation_chars,
 ) -> List[str]:
     """Evidence inputs for the verifier under a document-level strategy."""
     each = [text[:budget] for text in bundle.texts]
@@ -160,26 +186,37 @@ def verify_sentence(sentence: str, evidence_texts: List[str], backend) -> Label:
     return label
 
 
-def verify_triplet(
-    t: Triplet,
-    bindings: Dict,
-    index: Index,
-    backend,
-    k: int = DEFAULT_K,
-    strategy: DocStrategy = DocStrategy.CONCAT_EACH,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
-    gold_docs=None,
+def _judged(
+    sentence: str,
+    bundle: EvidenceBundle,
+    backends: BackendSuite,
+    strategy: DocStrategy,
+    truncation_chars: int,
 ) -> TripletJudgment:
-    """Render the triplet, retrieve evidence with the rendered sentence as the
-    query, and verify it under the given document-level strategy."""
-    backends = _as_suite(backend)
-    sentence = render_sentence(t, bindings)
-    bundle = retrieve(index, sentence, k, gold_docs)
+    """Verify a sentence against already retrieved evidence."""
     if not bundle.docs:
         return TripletJudgment(sentence, Label.NOT_SUPPORTED, -1, "no evidence retrieved")
     texts = evidence_texts(bundle, strategy, truncation_chars)
     label, deciding = _judge_sentence(sentence, texts, backends)
     return TripletJudgment(sentence, label, deciding)
+
+
+def verify_triplet(
+    t: Triplet,
+    bindings: Dict,
+    index: Index,
+    backend,
+    options: PipelineOptions = PipelineOptions(),
+    gold_docs=None,
+) -> TripletJudgment:
+    """Render the triplet, retrieve evidence with the rendered sentence as the
+    query, and verify it under the GraphCheck document-level strategy."""
+    sentence = render_sentence(t, bindings)
+    bundle = retrieve(index, sentence, options.k, gold_docs)
+    return _judged(
+        sentence, bundle, _as_suite(backend),
+        options.graphcheck_strategy, options.truncation_chars,
+    )
 
 
 def path_triplets(graph: ClaimGraph, include_definitions: bool = True) -> List[Triplet]:
@@ -195,20 +232,15 @@ def verify_path(
     outcome: InfillOutcome,
     index: Index,
     backend,
-    k: int = DEFAULT_K,
-    strategy: DocStrategy = DocStrategy.CONCAT_EACH,
-    include_definitions: bool = True,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
+    options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> Tuple[Label, List[TripletJudgment]]:
     """Verify every triplet under the path's bindings, stopping at the first
     failure."""
     backends = _as_suite(backend)
     judgments: List[TripletJudgment] = []
-    for t in path_triplets(graph, include_definitions):
-        judgment = verify_triplet(
-            t, outcome.bindings, index, backends, k, strategy, truncation_chars, gold_docs
-        )
+    for t in path_triplets(graph, options.include_definitions):
+        judgment = verify_triplet(t, outcome.bindings, index, backends, options, gold_docs)
         judgments.append(judgment)
         if judgment.label is Label.NOT_SUPPORTED:
             return Label.NOT_SUPPORTED, judgments
@@ -219,57 +251,37 @@ def verify_claim_graphcheck(
     graph: ClaimGraph,
     index: Index,
     backend,
-    budget: PathBudget = PathBudget(),
-    k: int = DEFAULT_K,
-    strategy: DocStrategy = DocStrategy.CONCAT_EACH,
-    blank_token: str = DEFAULT_BLANK_TOKEN,
-    include_definitions: bool = True,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
+    options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> Tuple[Label, List[PathRecord]]:
     """Infill and verify each identification path, returning Supported as soon
     as one path passes."""
     backends = _as_suite(backend)
     records: List[PathRecord] = []
-    for path in enumerate_paths(graph, budget):
-        outcome = infill_path(graph, path, index, backends, k, blank_token, gold_docs)
-        label, judgments = verify_path(
-            graph, outcome, index, backends, k, strategy,
-            include_definitions, truncation_chars, gold_docs,
+    for path in enumerate_paths(graph, options.budget):
+        outcome = infill_path(
+            graph, path, index, backends, options.k, options.blank_token, gold_docs
         )
+        label, judgments = verify_path(graph, outcome, index, backends, options, gold_docs)
         records.append(PathRecord(outcome, tuple(judgments), label))
         if label is Label.SUPPORTED:
             return Label.SUPPORTED, records
     return Label.NOT_SUPPORTED, records
 
 
-def _direct_judged(
-    claim_text: str,
-    bundle: EvidenceBundle,
-    backends: BackendSuite,
-    strategy: DocStrategy,
-    truncation_chars: int,
-) -> TripletJudgment:
-    if not bundle.docs:
-        return TripletJudgment(claim_text, Label.NOT_SUPPORTED, -1, "no evidence retrieved")
-    texts = evidence_texts(bundle, strategy, truncation_chars)
-    label, deciding = _judge_sentence(claim_text, texts, backends)
-    return TripletJudgment(claim_text, label, deciding)
-
-
 def direct_verify(
     claim_text: str,
     index: Index,
     backend,
-    k: int = DEFAULT_K,
-    strategy: DocStrategy = DocStrategy.CONCAT,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
+    options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> Tuple[Label, EvidenceBundle]:
     """One-shot verification of the claim against its own retrieval results."""
-    backends = _as_suite(backend)
-    bundle = retrieve(index, claim_text, k, gold_docs)
-    judgment = _direct_judged(claim_text, bundle, backends, strategy, truncation_chars)
+    bundle = retrieve(index, claim_text, options.k, gold_docs)
+    judgment = _judged(
+        claim_text, bundle, _as_suite(backend),
+        options.direct_strategy, options.truncation_chars,
+    )
     return judgment.label, bundle
 
 
@@ -277,8 +289,7 @@ def select_strategy(
     claim_text: str,
     index: Index,
     backend,
-    k: int = DEFAULT_K,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
+    options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
     evidence: Optional[EvidenceBundle] = None,
 ) -> StrategyChoice:
@@ -286,8 +297,8 @@ def select_strategy(
     Direct, anything else to the full graph pipeline."""
     backends = _as_suite(backend)
     if evidence is None:
-        evidence = retrieve(index, claim_text, k, gold_docs)
-    concat = truncated_concat(evidence, truncation_chars)
+        evidence = retrieve(index, claim_text, options.k, gold_docs)
+    concat = truncated_concat(evidence, options.truncation_chars)
     response = backends.complete(PURPOSE_SELECT, build_select_prompt(concat, claim_text))
     value = DIRECT if is_affirmative(response.text) else GRAPHCHECK
     return StrategyChoice(value, response.text)
@@ -309,169 +320,73 @@ def _obtain_graph(claim_text, pregenerated_graph, backends, notes):
     return graph
 
 
-def dp_graphcheck(
-    claim_text: str,
-    index: Index,
-    backend,
-    *,
-    claim_id: str = "",
-    pregenerated_graph: Optional[str] = None,
-    gold_docs=None,
-    budget: PathBudget = PathBudget(),
-    k: int = DEFAULT_K,
-    direct_strategy: DocStrategy = DocStrategy.CONCAT,
-    graphcheck_strategy: DocStrategy = DocStrategy.CONCAT_EACH,
-    blank_token: str = DEFAULT_BLANK_TOKEN,
-    include_definitions: bool = True,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
-) -> VerdictTrace:
-    """Adaptive verification: retrieve once with the claim, let the selector
-    pick Direct or the graph pipeline, and run the chosen branch.
-
-    A graph that fails to parse degrades to Direct with a trace warning.
-    """
-    started = time.monotonic()
-    counted = _as_suite(backend).counted()
-    notes: List[str] = []
-
-    bundle = retrieve(index, claim_text, k, gold_docs)
-    choice = select_strategy(
-        claim_text, index, counted, k, truncation_chars, evidence=bundle
-    )
-    if choice.value == GRAPHCHECK and choice.selector_answer is not None:
-        normalized = normalize_answer(choice.selector_answer)
-        if normalized not in AFFIRMATIVE_ANSWERS and normalized not in NEGATIVE_ANSWERS:
-            notes.append(
-                f"selector answer {choice.selector_answer!r} unparseable; using GraphCheck"
-            )
-
-    executed = choice.value
-    direct_judgment = None
-    paths: List[PathRecord] = []
-    if choice.value == DIRECT:
-        direct_judgment = _direct_judged(
-            claim_text, bundle, counted, direct_strategy, truncation_chars
-        )
-        final = direct_judgment.label
-    else:
-        graph = _obtain_graph(claim_text, pregenerated_graph, counted, notes)
-        if graph is None:
-            notes.append("graph unusable; falling back to Direct verification")
-            executed = DIRECT
-            direct_judgment = _direct_judged(
-                claim_text, bundle, counted, direct_strategy, truncation_chars
-            )
-            final = direct_judgment.label
-        else:
-            final, paths = verify_claim_graphcheck(
-                graph, index, counted, budget, k, graphcheck_strategy,
-                blank_token, include_definitions, truncation_chars, gold_docs,
-            )
-
-    return _finish_trace(
-        claim_id, claim_text, StrategyChoice(executed, choice.selector_answer),
-        final, bundle, direct_judgment, paths, notes, counted, started,
-    )
-
-
 def run_pipeline(
     claim_text: str,
     index: Index,
     backend,
     *,
-    mode: str = "dp_graphcheck",
     claim_id: str = "",
     pregenerated_graph: Optional[str] = None,
     gold_docs=None,
-    budget: PathBudget = PathBudget(),
-    k: int = DEFAULT_K,
-    direct_strategy: DocStrategy = DocStrategy.CONCAT,
-    graphcheck_strategy: DocStrategy = DocStrategy.CONCAT_EACH,
-    blank_token: str = DEFAULT_BLANK_TOKEN,
-    include_definitions: bool = True,
-    truncation_chars: int = DEFAULT_TRUNCATION_CHARS,
+    **options,
 ) -> VerdictTrace:
-    """Run the configured pipeline variant on one claim.
+    """Verify one claim: retrieve once with the claim, route it, and run the
+    chosen branch.  ``options`` are the fields of ``PipelineOptions``.
 
-    ``mode`` is one of "dp_graphcheck" (adaptive), "graphcheck" (always the
-    graph pipeline), or "direct" (always one-shot verification).
+    Only mode "dp_graphcheck" asks the selector for the route; the other modes
+    fix it.  A graph that fails to parse degrades to Direct with a trace note.
     """
-    if mode == "dp_graphcheck":
-        return dp_graphcheck(
-            claim_text, index, backend,
-            claim_id=claim_id, pregenerated_graph=pregenerated_graph,
-            gold_docs=gold_docs, budget=budget, k=k,
-            direct_strategy=direct_strategy, graphcheck_strategy=graphcheck_strategy,
-            blank_token=blank_token, include_definitions=include_definitions,
-            truncation_chars=truncation_chars,
-        )
-    if mode not in ("direct", "graphcheck"):
-        raise ValueError(f"unknown pipeline mode {mode!r}")
-
+    opts = PipelineOptions(**options)
     started = time.monotonic()
     counted = _as_suite(backend).counted()
     notes: List[str] = []
-    bundle = retrieve(index, claim_text, k, gold_docs)
-    direct_judgment = None
-    paths: List[PathRecord] = []
-    executed = DIRECT if mode == "direct" else GRAPHCHECK
 
-    if mode == "direct":
-        direct_judgment = _direct_judged(
-            claim_text, bundle, counted, direct_strategy, truncation_chars
-        )
-        final = direct_judgment.label
-    else:
+    bundle = retrieve(index, claim_text, opts.k, gold_docs)
+    route = DIRECT if opts.mode == "direct" else GRAPHCHECK
+    selector_answer = None
+    if opts.mode == "dp_graphcheck":
+        choice = select_strategy(claim_text, index, counted, opts, evidence=bundle)
+        route, selector_answer = choice.value, choice.selector_answer
+        if route == GRAPHCHECK and normalize_answer(selector_answer) not in NEGATIVE_ANSWERS:
+            notes.append(f"selector answer {selector_answer!r} unparseable; using GraphCheck")
+
+    graph = None
+    if route == GRAPHCHECK:
         graph = _obtain_graph(claim_text, pregenerated_graph, counted, notes)
         if graph is None:
             notes.append("graph unusable; falling back to Direct verification")
-            executed = DIRECT
-            direct_judgment = _direct_judged(
-                claim_text, bundle, counted, direct_strategy, truncation_chars
-            )
-            final = direct_judgment.label
-        else:
-            final, paths = verify_claim_graphcheck(
-                graph, index, counted, budget, k, graphcheck_strategy,
-                blank_token, include_definitions, truncation_chars, gold_docs,
-            )
+            route = DIRECT
 
-    return _finish_trace(
-        claim_id, claim_text, StrategyChoice(executed, None), final,
-        bundle, direct_judgment, paths, notes, counted, started,
-    )
+    direct_judgment = None
+    paths: List[PathRecord] = []
+    if graph is None:
+        direct_judgment = _judged(
+            claim_text, bundle, counted, opts.direct_strategy, opts.truncation_chars
+        )
+        final = direct_judgment.label
+    else:
+        final, paths = verify_claim_graphcheck(graph, index, counted, opts, gold_docs)
 
-
-def _finish_trace(
-    claim_id, claim_text, strategy, final, bundle, direct_judgment, paths,
-    notes, counted, started,
-) -> VerdictTrace:
-    calls = {}
-    input_tokens = 0
-    output_tokens = 0
-    for purpose, wrapper in (
-        (PURPOSE_GRAPH, counted.graph_construction),
-        (PURPOSE_INFILL, counted.infilling),
-        (PURPOSE_VERIFY, counted.verification),
-        (PURPOSE_SELECT, counted.selection),
-    ):
-        calls[purpose] = wrapper.calls
-        input_tokens += wrapper.input_tokens
-        output_tokens += wrapper.output_tokens
+    counters = {purpose: counted.backend_for(purpose) for purpose in PURPOSES}
     return VerdictTrace(
         claim_id=claim_id,
         claim_text=claim_text,
-        strategy=strategy,
+        strategy=StrategyChoice(route, selector_answer),
         final=final,
         direct_evidence=bundle,
         direct_judgment=direct_judgment,
         paths=paths,
         timings={"total_s": time.monotonic() - started},
-        input_tokens=input_tokens,
-        output_tokens=output_tokens,
-        calls=calls,
+        input_tokens=sum(c.input_tokens for c in counters.values()),
+        output_tokens=sum(c.output_tokens for c in counters.values()),
+        calls={purpose: c.calls for purpose, c in counters.items()},
         notes=notes,
     )
+
+
+def dp_graphcheck(claim_text: str, index: Index, backend, **kwargs) -> VerdictTrace:
+    """Adaptive verification: ``run_pipeline`` with the selector routing."""
+    return run_pipeline(claim_text, index, backend, mode="dp_graphcheck", **kwargs)
 
 
 def _bundle_to_dict(bundle: Optional[EvidenceBundle]) -> Optional[List[dict]]:

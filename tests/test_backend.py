@@ -264,6 +264,22 @@ class TestHttpBackend:
         assert stub.request_count == 5
         assert err.value.body == body.decode()
 
+    def test_client_error_fails_without_retry(self, stub):
+        stub.plan(401, 401, 401)
+        backend = self.make(stub, max_attempts=3)
+        with pytest.raises(BackendError) as err:
+            backend.complete(greedy("p"))
+        assert stub.request_count == 1
+        assert err.value.status == 401
+        assert "injected 401" in err.value.body
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_retryable_client_error_then_succeeds(self, stub, status):
+        stub.plan(status, ("recovered", 5, 2))
+        backend = self.make(stub, max_attempts=3)
+        assert backend.complete(greedy("p")).text == "recovered"
+        assert stub.request_count == 2
+
     def test_ledger_records_usage(self, stub):
         stub.plan(("a", 100, 10), ("b", 200, 20))
         ledger = CostLedger({"stub-model": (0.25, 1.5)})

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from graphfc.config import ConfigError, load_config
+from graphfc import cli
+from graphfc.backend import CostLedger
+from graphfc.config import ConfigError, build_backends, load_config
+
+
+def write_config(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def scripted(**section):
+    return {"type": "scripted", **section}
 
 
 class TestValidate:
@@ -18,3 +32,53 @@ class TestValidate:
     def test_workers_must_be_positive(self, value):
         with pytest.raises(ConfigError, match="workers"):
             load_config(None, {"workers": value})
+
+
+class TestTypes:
+    @pytest.mark.parametrize(
+        "name,value",
+        [("k", "10"), ("k", 2.5), ("k", True), ("include_definitions", 1),
+         ("pipeline", 3), ("corpus", ["a.jsonl"])],
+    )
+    def test_wrong_type_names_the_field(self, tmp_path, name, value):
+        with pytest.raises(ConfigError, match=name):
+            load_config(write_config(tmp_path, {name: value}))
+
+    def test_wrong_type_in_backend_section_names_the_role(self, tmp_path):
+        path = write_config(tmp_path, {"backends": {"selection": scripted(timeout="5")}})
+        with pytest.raises(ConfigError, match="selection.*timeout"):
+            load_config(path)
+
+    def test_int_is_accepted_for_a_float(self, tmp_path):
+        path = write_config(tmp_path, {"backends": {"default": scripted(temperature=1)}})
+        assert load_config(path).backends["default"].temperature == 1
+
+    def test_cli_reports_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"k": "10"})
+        assert cli.main(["index", "--config", path]) == cli.EXIT_CONFIG
+        assert "k must be of type int" in capsys.readouterr().err
+
+
+class TestMaxNewTokens:
+    def policies(self, tmp_path, backends):
+        config = load_config(write_config(tmp_path, {"backends": backends}))
+        suite, _ = build_backends(config, CostLedger())
+        return {role: policy.max_new_tokens for role, policy in suite.policies.items()}
+
+    def test_role_defaults(self, tmp_path):
+        assert self.policies(tmp_path, {"default": scripted()}) == {
+            "graph_construction": 1024, "infilling": 32, "verification": 32, "selection": 32,
+        }
+
+    def test_explicit_value_is_kept(self, tmp_path):
+        tokens = self.policies(tmp_path, {"default": scripted(max_new_tokens=32),
+                                          "verification": scripted(max_new_tokens=8)})
+        assert tokens == {
+            "graph_construction": 32, "infilling": 32, "verification": 8, "selection": 32,
+        }
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_value_below_one_is_rejected_at_load(self, tmp_path, value):
+        path = write_config(tmp_path, {"backends": {"infilling": scripted(max_new_tokens=value)}})
+        with pytest.raises(ConfigError, match="infilling.*max_new_tokens"):
+            load_config(path)

@@ -16,6 +16,7 @@ from graphfc.verdict import (
     GRAPHCHECK,
     DocStrategy,
     Label,
+    PipelineOptions,
     direct_verify,
     dp_graphcheck,
     evidence_texts,
@@ -154,7 +155,10 @@ class TestVerifyTriplet:
             "Is the claim true or false?", response="false"
         )
         t = parse_triplet_line("Davey Brozowski [SEP] is part of [SEP] Tall Birds")
-        judgment = verify_triplet(t, {}, index, backend, k=2, strategy=DocStrategy.CONCAT_EACH)
+        judgment = verify_triplet(
+            t, {}, index, backend,
+            PipelineOptions(k=2, graphcheck_strategy=DocStrategy.CONCAT_EACH),
+        )
         assert judgment.label is Label.NOT_SUPPORTED
         # Both docs match the query: concat + each of 2 docs = 3 inputs.
         assert backend.call_count == 3
@@ -163,7 +167,9 @@ class TestVerifyTriplet:
         index = self.setup_index()
         backend = verifier("true")
         t = parse_triplet_line("Davey Brozowski [SEP] is part of [SEP] Tall Birds")
-        judgment = verify_triplet(t, {}, index, backend, k=1, strategy=DocStrategy.EACH)
+        judgment = verify_triplet(
+            t, {}, index, backend, PipelineOptions(k=1, graphcheck_strategy=DocStrategy.EACH)
+        )
         assert judgment.label is Label.SUPPORTED
         assert backend.call_count == 1
         assert judgment.evidence_index == 0
@@ -172,7 +178,7 @@ class TestVerifyTriplet:
         index = self.setup_index()
         backend = verifier("true")
         t = parse_triplet_line("zzz [SEP] qqq [SEP] vvv")
-        judgment = verify_triplet(t, {}, index, backend, k=2)
+        judgment = verify_triplet(t, {}, index, backend, PipelineOptions(k=2))
         assert judgment.label is Label.NOT_SUPPORTED
         assert judgment.note == "no evidence retrieved"
         assert backend.call_count == 0
@@ -184,7 +190,8 @@ class TestVerifyTriplet:
         )
         t = parse_triplet_line("(ENT1) [SEP] is part of [SEP] Tall Birds")
         judgment = verify_triplet(
-            t, {E1: "Davey Brozowski"}, index, backend, k=1, strategy=DocStrategy.CONCAT
+            t, {E1: "Davey Brozowski"}, index, backend,
+            PipelineOptions(k=1, graphcheck_strategy=DocStrategy.CONCAT),
         )
         assert judgment.label is Label.SUPPORTED
 
@@ -200,7 +207,8 @@ class TestVerifyPath:
         )
         outcome = infill_path(musician_graph, Path(order), band_index, suite, k=2)
         return suite, verify_path(
-            musician_graph, outcome, band_index, suite, k=2, strategy=DocStrategy.CONCAT
+            musician_graph, outcome, band_index, suite,
+            PipelineOptions(k=2, graphcheck_strategy=DocStrategy.CONCAT),
         )
 
     def test_all_supported(self, musician_graph, band_index):
@@ -229,8 +237,10 @@ class TestVerifyPath:
         suite = band_suite()
         outcome = infill_path(musician_graph, Path((E2, E1)), band_index, suite, k=2)
         label, judgments = verify_path(
-            musician_graph, outcome, band_index, suite, k=2,
-            strategy=DocStrategy.CONCAT, include_definitions=False,
+            musician_graph, outcome, band_index, suite,
+            PipelineOptions(
+                k=2, graphcheck_strategy=DocStrategy.CONCAT, include_definitions=False
+            ),
         )
         assert label is Label.SUPPORTED
         assert len(judgments) == 3
@@ -243,7 +253,8 @@ class TestVerifyPath:
         backend = verifier("true")
         outcome = infill_path(graph, Path(()), band_index, backend and band_suite(), k=2)
         label, judgments = verify_path(
-            graph, outcome, band_index, backend, k=2, strategy=DocStrategy.CONCAT
+            graph, outcome, band_index, backend,
+            PipelineOptions(k=2, graphcheck_strategy=DocStrategy.CONCAT),
         )
         assert label is Label.SUPPORTED
         assert len(judgments) == 1
@@ -253,8 +264,10 @@ class TestVerifyClaimGraphcheck:
     def test_second_path_passes(self, musician_graph, band_index):
         suite = band_suite()
         label, records = verify_claim_graphcheck(
-            musician_graph, band_index, suite, PathBudget(5, 0), k=2,
-            strategy=DocStrategy.CONCAT,
+            musician_graph, band_index, suite,
+            PipelineOptions(
+                budget=PathBudget(5, 0), k=2, graphcheck_strategy=DocStrategy.CONCAT
+            ),
         )
         assert label is Label.SUPPORTED
         assert len(records) == 2
@@ -267,8 +280,10 @@ class TestVerifyClaimGraphcheck:
     def test_first_path_passes_short_circuits(self, musician_graph, band_index):
         suite = band_suite(correct_first_path=True)
         label, records = verify_claim_graphcheck(
-            musician_graph, band_index, suite, PathBudget(5, 0), k=2,
-            strategy=DocStrategy.CONCAT,
+            musician_graph, band_index, suite,
+            PipelineOptions(
+                budget=PathBudget(5, 0), k=2, graphcheck_strategy=DocStrategy.CONCAT
+            ),
         )
         assert label is Label.SUPPORTED
         assert len(records) == 1
@@ -284,8 +299,10 @@ class TestVerifyClaimGraphcheck:
             suite.graph_construction, suite.infilling, verification, suite.selection
         )
         label, records = verify_claim_graphcheck(
-            musician_graph, band_index, suite, PathBudget(5, 0), k=2,
-            strategy=DocStrategy.CONCAT,
+            musician_graph, band_index, suite,
+            PipelineOptions(
+                budget=PathBudget(5, 0), k=2, graphcheck_strategy=DocStrategy.CONCAT
+            ),
         )
         assert label is Label.NOT_SUPPORTED
         assert len(records) == 2
@@ -293,17 +310,17 @@ class TestVerifyClaimGraphcheck:
 
 class TestDirectAndSelector:
     def test_direct_true(self, band_index):
-        label, bundle = direct_verify(BAND_CLAIM, band_index, verifier("true"), k=2)
+        label, bundle = direct_verify(BAND_CLAIM, band_index, verifier("true"), PipelineOptions(k=2))
         assert label is Label.SUPPORTED
         assert len(bundle) >= 1
 
     def test_direct_false(self, band_index):
-        label, _ = direct_verify(BAND_CLAIM, band_index, verifier("false"), k=2)
+        label, _ = direct_verify(BAND_CLAIM, band_index, verifier("false"), PipelineOptions(k=2))
         assert label is Label.NOT_SUPPORTED
 
     def test_direct_empty_retrieval(self, band_index):
         backend = verifier("true")
-        label, bundle = direct_verify("qqq zzz vvv", band_index, backend, k=2)
+        label, bundle = direct_verify("qqq zzz vvv", band_index, backend, PipelineOptions(k=2))
         assert label is Label.NOT_SUPPORTED
         assert len(bundle) == 0
         assert backend.call_count == 0
@@ -315,7 +332,7 @@ class TestDirectAndSelector:
         backend = ScriptedBackend().register_contains(
             "Does the evidence contain sufficient information", response=answer
         )
-        choice = select_strategy(BAND_CLAIM, band_index, backend, k=2)
+        choice = select_strategy(BAND_CLAIM, band_index, backend, PipelineOptions(k=2))
         assert choice.value == expected
         assert choice.selector_answer == answer
 
@@ -327,7 +344,7 @@ class TestDirectAndSelector:
             return "yes"
 
         backend = ScriptedBackend().register(lambda p: True, capture)
-        select_strategy("short claim x", band_index, backend, k=1)
+        select_strategy("short claim x", band_index, backend, PipelineOptions(k=1))
         prompt = seen["prompt"]
         assert prompt.startswith("Evidence: ")
         assert "\nClaim: short claim x\n" in prompt
@@ -446,6 +463,20 @@ class TestRunPipeline:
         assert trace.calls["selection"] == 0
         assert len(trace.paths) == 2
 
+    def test_graphcheck_mode_parse_failure_falls_back_to_direct(self, band_index):
+        suite = band_suite(route="direct")  # selector says yes, but is unused
+        trace = run_pipeline(
+            BAND_CLAIM, band_index, suite, mode="graphcheck",
+            pregenerated_graph="not a graph at all", k=2,
+            direct_strategy=DocStrategy.CONCAT,
+        )
+        assert trace.strategy.value == DIRECT
+        assert trace.strategy.selector_answer is None
+        assert trace.calls["selection"] == 0
+        assert trace.calls["infilling"] == 0
+        assert any("falling back to Direct" in note for note in trace.notes)
+        assert trace.final is Label.SUPPORTED  # direct verifier answers true
+
     def test_unknown_mode_rejected(self, band_index):
         with pytest.raises(ValueError):
             run_pipeline(BAND_CLAIM, band_index, band_suite(), mode="hybrid")
@@ -471,7 +502,8 @@ class TestDominance:
                 suite.graph_construction, suite.infilling, verification, suite.selection
             )
             label, _ = verify_claim_graphcheck(
-                musician_graph, band_index, suite, PathBudget(5, 0), k=2, strategy=strategy
+                musician_graph, band_index, suite,
+                PipelineOptions(budget=PathBudget(5, 0), k=2, graphcheck_strategy=strategy),
             )
             assert label is expected
 
