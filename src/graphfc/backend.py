@@ -127,8 +127,9 @@ def approx_token_count(text: str) -> int:
 def _read_completion(response: requests.Response) -> tuple:
     """(text, prompt tokens, completion tokens) of a 200 chat-completions body.
 
-    Raises ValueError when the body is not JSON or lacks ``choices[0]``; the
-    caller retries such a response like a failed request.
+    Raises ValueError when the body is not JSON, lacks ``choices[0]`` or
+    holds a completion text that is not a string; the caller retries such a
+    response like a failed request.
     """
     payload = response.json()  # requests' JSONDecodeError is a ValueError
     try:
@@ -136,6 +137,8 @@ def _read_completion(response: requests.Response) -> tuple:
         text = choice.get("message", {}).get("content")
         if text is None:
             text = choice.get("text", "")
+        if not isinstance(text, str):
+            raise ValueError(f"completion text is not a string: {text!r:.100}")
         usage = payload.get("usage", {})
         return text, int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:

@@ -1,7 +1,7 @@
 """Command-line interface: index, verify, eval, trace.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 backend failure,
-4 errored-claim threshold exceeded.
+4 errored-claim threshold exceeded, 5 internal error.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 EXIT_ABORT = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,6 +262,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except Exception as exc:  # a defect, not bad input: one line, traceback at debug level
+        logger.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

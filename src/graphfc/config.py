@@ -14,7 +14,9 @@ from typing import Dict, Optional, Union, get_args, get_origin, get_type_hints
 
 from .backend import (
     DEFAULT_POLICIES,
+    GREEDY,
     PURPOSES,
+    SAMPLE,
     BackendSuite,
     CachedBackend,
     CostLedger,
@@ -28,6 +30,8 @@ from .infill import PathBudget
 from .verdict import PipelineOptions
 
 EVIDENCE_MODES = ("open_book", "open_book_gold")
+BACKEND_TYPES = ("http", "scripted")
+DECODE_MODES = (GREEDY, SAMPLE)
 
 _PIPELINE_DEFAULTS = PipelineOptions()
 
@@ -38,7 +42,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class BackendConfig:
-    type: str = "http"  # "http" | "scripted"
+    type: str = "http"  # one of BACKEND_TYPES
     endpoint: str = ""
     model: str = ""
     api_key_env: str = ""
@@ -47,7 +51,7 @@ class BackendConfig:
     max_new_tokens: Optional[int] = None  # None: the role's default in DEFAULT_POLICIES
     temperature: float = 0.0
     top_p: float = 1.0
-    decode_mode: str = "greedy"
+    decode_mode: str = GREEDY  # one of DECODE_MODES
     timeout: float = 60.0
     max_attempts: int = 3
     retry_base_delay: float = 1.0
@@ -145,6 +149,11 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
         raise ConfigError(
             f"backend {role}: max_new_tokens must be >= 1, got {section.max_new_tokens}"
         )
+    for name, allowed in (("type", BACKEND_TYPES), ("decode_mode", DECODE_MODES)):
+        if getattr(section, name) not in allowed:
+            raise ConfigError(
+                f"backend {role}: {name} must be one of {allowed}, got {getattr(section, name)!r}"
+            )
     return section
 
 
@@ -159,6 +168,9 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
                 raw = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    unknown = set(raw) - set(SCALAR_FIELDS) - {"backends", "prices"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = RunConfig()
     given = {name: raw[name] for name in SCALAR_FIELDS if raw.get(name) is not None}
     given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
@@ -189,7 +201,7 @@ def _build_one(role: str, section: BackendConfig, ledger: CostLedger, caches: di
             raise ConfigError(f"backend {role}: script not found: {section.script}")
         else:
             backend = scripted_from_file(section.script, model=model, ledger=ledger)
-    elif section.type == "http":
+    else:  # "http"; load_config has checked the type
         if not section.endpoint:
             raise ConfigError(f"backend {role}: endpoint is required for type=http")
         api_key = os.environ.get(section.api_key_env, "") if section.api_key_env else ""
@@ -202,8 +214,6 @@ def _build_one(role: str, section: BackendConfig, ledger: CostLedger, caches: di
             retry_base_delay=section.retry_base_delay,
             ledger=ledger,
         )
-    else:
-        raise ConfigError(f"backend {role}: unknown type {section.type!r}")
     if section.cache_path:
         if section.cache_path not in caches:
             caches[section.cache_path] = ResponseCache(section.cache_path)

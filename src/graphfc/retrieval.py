@@ -2,12 +2,19 @@
 
 The index is built in one pass, held in memory, and immutable afterwards, so
 concurrent searches are safe.  Scoring is classic Okapi BM25 with the
-+1-smoothed natural-log IDF.
++1-smoothed natural-log IDF.  Search is exact top-k with MaxScore pruning
+(Turtle & Flood, 1995): each term's largest weight bounds what it can add to
+a score, so once the terms left cannot lift a new document into the top k,
+their long posting lists (the stopwords') are not walked, and the few
+documents still in contention are rescored exactly.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import heapq
+import itertools
 import json
 import math
 import re
@@ -18,6 +25,14 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 CONCAT_SEPARATOR = "\n"
 GOLD_SCORE = float("inf")
+# Relative margin on both pruning comparisons in ``search``.  A float sum of
+# n positive weights is within n ulps of any reordering of it, so 1e-9 covers
+# queries of millions of terms and is far below the score gaps that matter.
+_PRUNE_SLACK = 1.0 + 1e-9
+# One bisect lookup of a document in a posting list costs about as much as
+# accumulating this many postings (measured in CPython 3.11 at 20k documents).
+_LOOKUP_COST = 6
+_SAMPLE_STEP = 16
 
 INDEX_MAGIC = "graphfc-index"
 INDEX_VERSION = 2
@@ -105,6 +120,8 @@ class Index:
     query-independent BM25 weights, computed here once with the operations of
     ``bm25_term_score`` in the same order, so a search only adds them up and
     its scores are bit-identical to summing ``bm25_term_score`` per posting.
+    ``max_weights`` maps it to the largest of those weights, the most one
+    occurrence of the term in a query can add to a score.
     """
 
     def __init__(self, documents, postings, doc_lengths, k1, b):
@@ -120,12 +137,16 @@ class Index:
         self._by_id = {doc.doc_id: doc for doc in self.documents}
         norms = [k1 * (1.0 - b + b * n / self.avg_doc_length) for n in self.doc_lengths]
         scale = k1 + 1.0
+        idfs: dict = {}  # doc_freq -> idf; most terms of a large vocabulary share a few
         self.weights: dict = {}  # term -> weights, parallel to postings[term]
         for term, (ordinals, tfs) in postings.items():
-            idf = bm25_idf(self.doc_count, len(ordinals))
+            idf = idfs.get(len(ordinals))
+            if idf is None:
+                idf = idfs[len(ordinals)] = bm25_idf(self.doc_count, len(ordinals))
             self.weights[term] = [
                 idf * tf * scale / (tf + norms[o]) for o, tf in zip(ordinals, tfs)
             ]
+        self.max_weights: dict = dict(zip(self.weights, map(max, self.weights.values())))
 
     def get_document(self, doc_id: str) -> Optional[Document]:
         return self._by_id.get(doc_id)
@@ -165,36 +186,86 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
 
 
 def search(index: Index, query: str, k: int) -> EvidenceBundle:
-    """Top-k Okapi BM25 search.
+    """Exact top-k Okapi BM25 search with MaxScore pruning.
 
     Only documents containing at least one query term are scored; duplicate
     query terms contribute once per occurrence.  Results are ordered by score
     descending with ties broken by ascending doc_id.  An empty query yields an
     empty bundle.
+
+    The distinct query terms are accumulated term at a time in descending
+    upper bound, a term's multiplicity times its largest weight.  A partial
+    score never exceeds its document's score, so the k-th best partial score
+    is at most the k-th best score.  Once the bounds of the terms not yet
+    accumulated sum to less than it, a document not yet seen cannot reach the
+    top k, not even in a tie, and neither can an accumulated document whose
+    partial score plus those bounds falls below it.  From then on the search
+    stops walking posting lists as soon as rescoring those survivors costs
+    less than walking the rest.  The survivors are rescored exactly, term by
+    term in query order by bisecting the posting lists, so every returned
+    score is bit-identical to summing ``bm25_term_score`` per posting, and
+    ranked exactly.  Both comparisons carry the relative margin
+    ``_PRUNE_SLACK``: partial sums add in another order than the exact ones,
+    so a near tie may swap sides by rounding, and the margin keeps both sides.
+    A query whose terms have similar bounds, such as stopwords only, prunes
+    little and costs about what summing every posting does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    terms = [term for term in tokenize(query) if term in index.postings]
+    counts = collections.Counter(terms)
+    by_bound = sorted(
+        ((m * index.max_weights[term], term) for term, m in counts.items()), reverse=True,
+    )
     scores: dict = {}
-    for term in tokenize(query):
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
+    cut = 0.0
+    seen = 0.0
+    for i, (bound, term) in enumerate(by_bound):
+        ordinals = index.postings[term][0]
         weights = index.weights[term]
-        if not scores:
-            scores = dict(zip(entry[0], weights))
+        if counts[term] > 1:
+            weights = [counts[term] * w for w in weights]
+        if scores:
+            get = scores.get
+            for ordinal, weight in zip(ordinals, weights):
+                scores[ordinal] = get(ordinal, 0.0) + weight
+        else:
+            scores = dict(zip(ordinals, weights))
+        seen += bound
+        rest = sum(b for b, _ in by_bound[i + 1:])
+        # No partial score exceeds ``seen``, so the k-th cannot beat ``rest`` yet.
+        if len(scores) < k or rest * _PRUNE_SLACK >= seen:
             continue
-        # Terms add in query order, so every document's float sum is the one
-        # a per-posting loop over bm25_term_score would produce.
-        get = scores.get
-        for ordinal, weight in zip(entry[0], weights):
-            scores[ordinal] = get(ordinal, 0.0) + weight
-    if not scores:
+        kth = heapq.nlargest(k, scores.values())[-1]
+        if rest * _PRUNE_SLACK >= kth:
+            continue  # a document not yet seen could still reach the top k
+        cut = kth / _PRUNE_SLACK - rest
+        # Stop walking once one lookup per query term for each survivor costs
+        # less than the postings left; every _SAMPLE_STEP-th partial score
+        # estimates how many survive.
+        left = sum(len(index.postings[t][0]) for _, t in by_bound[i + 1:])
+        sample = itertools.islice(scores.values(), 0, None, _SAMPLE_STEP)
+        if left and left > _SAMPLE_STEP * _LOOKUP_COST * len(terms) * sum(s >= cut for s in sample):
+            break
+    survivors = [ordinal for ordinal, score in scores.items() if score >= cut]
+    if not survivors:
         return EMPTY_BUNDLE
+    lists = [(index.postings[term][0], index.weights[term]) for term in terms]
+
+    def exact(ordinal: int) -> float:
+        score = 0.0
+        for ordinals, weights in lists:
+            j = bisect.bisect_left(ordinals, ordinal)
+            if j < len(ordinals) and ordinals[j] == ordinal:
+                score += weights[j]
+        return score
+
+    exact_scores = {ordinal: exact(ordinal) for ordinal in survivors}
     # Every document scoring at or above the k-th best score, ranked exactly.
-    kth = heapq.nlargest(k, scores.values())[-1]
+    kth = heapq.nlargest(k, exact_scores.values())[-1]
     documents = index.documents
     ranked = sorted(
-        (item for item in scores.items() if item[1] >= kth),
+        (item for item in exact_scores.items() if item[1] >= kth),
         key=lambda item: (-item[1], documents[item[0]].doc_id),
     )
     return _bundle((documents[o], s) for o, s in ranked[:k])

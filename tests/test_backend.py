@@ -253,7 +253,11 @@ class TestHttpBackend:
         assert err.value.status == 500
         assert "injected 500" in err.value.body
 
-    @pytest.mark.parametrize("body", [b"<html>not json</html>", b'{"choices": []}', b'{"usage": {}}'])
+    @pytest.mark.parametrize("body", [
+        b"<html>not json</html>", b'{"choices": []}', b'{"usage": {}}',
+        b'{"choices": [{"message": {"content": 42}}]}',
+        b'{"choices": [{"message": {"content": ["a"]}}]}', b'{"choices": [{"text": 7}]}',
+    ])
     def test_malformed_200_is_retried_then_backend_error(self, stub, body):
         stub.plan(body, ("recovered", 5, 2))
         backend = self.make(stub, max_attempts=3)

@@ -52,6 +52,16 @@ class TestIndexCommand:
             cli.main(["index", "--k", "not-a-number"])
         assert exit_info.value.code == 1
 
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_index", broken)
+        paths = build_eval_fixture(tmp_path / "run")
+        assert cli.main(["index", "--config", paths["config"]]) == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+
 
 class TestVerifyCommand:
     def test_graph_claim_tree_and_trace(self, fixture, tmp_path, capsys):

@@ -82,3 +82,28 @@ class TestMaxNewTokens:
         path = write_config(tmp_path, {"backends": {"infilling": scripted(max_new_tokens=value)}})
         with pytest.raises(ConfigError, match="infilling.*max_new_tokens"):
             load_config(path)
+
+
+class TestKnownKeysAndValues:
+    def test_unknown_top_level_key_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="truncation_char"):
+            load_config(write_config(tmp_path, {"truncation_char": 5}))
+
+    def test_sections_and_scalar_fields_are_accepted(self, tmp_path):
+        path = write_config(tmp_path, {
+            "k": 5, "truncation_chars": 100, "backends": {"default": scripted()},
+            "prices": {"m": {"input_per_1k": 0.5, "output_per_1k": 1.5}},
+        })
+        config = load_config(path)
+        assert (config.k, config.truncation_chars, config.prices) == (5, 100, {"m": (0.5, 1.5)})
+
+    @pytest.mark.parametrize("value", ["beam", "GREEDY"])
+    def test_decode_mode_must_be_greedy_or_sample(self, tmp_path, value):
+        path = write_config(tmp_path, {"backends": {"verification": scripted(decode_mode=value)}})
+        with pytest.raises(ConfigError, match="verification.*decode_mode"):
+            load_config(path)
+
+    def test_backend_type_must_be_http_or_scripted(self, tmp_path):
+        path = write_config(tmp_path, {"backends": {"selection": {"type": "grpc"}}})
+        with pytest.raises(ConfigError, match="selection.*type"):
+            load_config(path)

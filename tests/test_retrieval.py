@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfc import retrieval
 from graphfc.retrieval import (
     CorpusError,
     Document,
@@ -271,6 +273,85 @@ class TestSearchMatchesReference:
         index = build_index(docs)
         got = [(doc.doc_id, score) for doc, score in search(index, query, k).docs]
         assert got == brute_force_search(index, query, k)
+
+
+_RARE = st.sampled_from(["zeta", "eta", "theta"])
+_FREQUENT = st.sampled_from(["the", "of", "and"])
+
+
+@st.composite
+def skewed_corpora(draw):
+    """Frequent words in most documents, rare words in about one in five, and
+    verbatim duplicates, so that rare terms often cover fewer than k
+    documents, the k-th score is often an exact tie, and pruning fires."""
+    texts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        words = ["filler"] + draw(st.lists(_FREQUENT, max_size=6))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            words += draw(st.lists(_RARE, min_size=1, max_size=2))
+        texts.append(" ".join(words))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=4))
+    ids = draw(st.permutations([f"doc{i:02d}" for i in range(len(texts))]))
+    return [Document(doc_id, "", text) for doc_id, text in zip(ids, texts)]
+
+
+# ``_LOOKUP_COST`` 0 makes search stop walking postings at the first point
+# the bounds allow, the most pruning it can do; at the default it stops
+# later, or on corpora this small often not at all.
+_LOOKUP_COSTS = pytest.mark.parametrize("lookup_cost", [0, retrieval._LOOKUP_COST])
+
+
+def pruned_search(index, query, k, lookup_cost):
+    with mock.patch.object(retrieval, "_LOOKUP_COST", lookup_cost):
+        return [(doc.doc_id, score) for doc, score in search(index, query, k).docs]
+
+
+class TestPrunedSearchMatchesReference:
+    @_LOOKUP_COSTS
+    @given(skewed_corpora(), st.lists(st.one_of(_RARE, _FREQUENT), min_size=1, max_size=8).map(" ".join),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=300, deadline=None)
+    def test_same_ranking_and_bit_equal_scores(self, lookup_cost, docs, query, k):
+        index = build_index(docs)
+        assert pruned_search(index, query, k, lookup_cost) == brute_force_search(index, query, k)
+
+    @_LOOKUP_COSTS
+    def test_stopword_only_query(self, lookup_cost):
+        index = build_index([
+            Document("a", "", "the of of and"), Document("b", "", "the the"),
+            Document("c", "", "of and and the"), Document("d", "", "the of"),
+            Document("e", "", "zeta"),
+        ])
+        for k in (1, 2, 4, 10):
+            got = pruned_search(index, "the of the and", k, lookup_cost)
+            assert got == brute_force_search(index, "the of the and", k)
+
+    @_LOOKUP_COSTS
+    def test_repeated_terms_count_in_the_bounds(self, lookup_cost):
+        # Once, "the" weighs less than "zeta"; three times, it outweighs it.
+        index = build_index([
+            Document("rare", "", "zeta"), Document("busy", "", "the the the"),
+            Document("mid", "", "the of"), Document("none", "", "of and"),
+            Document("pad", "", "and of"),
+        ])
+        for query in ("zeta the the the", "the zeta the"):
+            got = pruned_search(index, query, 1, lookup_cost)
+            assert got == brute_force_search(index, query, 1)
+            assert got[0][0] == "busy"
+
+    @_LOOKUP_COSTS
+    def test_near_ties_separated_only_by_rounding(self, lookup_cost):
+        # Equal idf and length, tfs permuted: the scores agree to the last
+        # ulp or two, and which one is larger depends on the order of the sum.
+        index = build_index([
+            Document("d1", "", "x y z z z"), Document("d0", "", "x y y y z"),
+            Document("d4", "", "x x x y z"), Document("d2", "", "x y z z z"),
+            Document("d3", "", "x y z z z"),
+        ])
+        for query in ("y x z", "x y z", "z y x"):
+            for k in (1, 2):
+                got = pruned_search(index, query, k, lookup_cost)
+                assert got == brute_force_search(index, query, k)
 
 
 class TestPersistence:
