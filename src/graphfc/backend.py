@@ -28,6 +28,8 @@ PURPOSE_INFILL = "infilling"
 PURPOSE_VERIFY = "verification"
 PURPOSE_SELECT = "selection"
 PURPOSES = (PURPOSE_GRAPH, PURPOSE_INFILL, PURPOSE_VERIFY, PURPOSE_SELECT)
+# The memo kind of BM25 retrievals, beside the four purposes.
+RETRIEVAL = "retrieval"
 
 
 class BackendError(RuntimeError):
@@ -170,6 +172,8 @@ class HttpBackend:
         ledger: Optional[CostLedger] = None,
         session: Optional[requests.Session] = None,
     ):
+        """``session``, when given, serves every thread; otherwise each thread
+        that calls ``complete`` opens a ``requests.Session`` of its own."""
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -177,8 +181,18 @@ class HttpBackend:
         self.max_attempts = max_attempts
         self.retry_base_delay = retry_base_delay
         self.ledger = ledger
-        self._session = session or requests.Session()
+        self._injected_session = session
+        self._local = threading.local()
         self._rng = random.Random()
+
+    def session(self) -> requests.Session:
+        """The injected session, or the calling thread's own."""
+        if self._injected_session is not None:
+            return self._injected_session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _payload(self, req: GenRequest) -> dict:
         temperature = 0.0 if req.decode_mode == GREEDY else req.temperature
@@ -198,13 +212,14 @@ class HttpBackend:
         last_status: Optional[int] = None
         last_body = ""
         attempts = 0
+        session = self.session()
         for attempt in range(self.max_attempts):
             if attempt:
                 delay = self.retry_base_delay * (2 ** (attempt - 1))
                 time.sleep(delay * self._rng.uniform(0.5, 1.5))
             attempts += 1
             try:
-                response = self._session.post(
+                response = session.post(
                     self.endpoint,
                     json=self._payload(req),
                     headers=headers,
@@ -520,16 +535,40 @@ DEFAULT_POLICIES = {
 }
 
 
+class ClaimMemo:
+    """Results of work already done for one claim, answered again on repeat.
+
+    Keys are (kind, key): a purpose and a prompt for greedy completions,
+    ``RETRIEVAL`` and (query, k, gold doc ids) for retrievals.  ``hits``
+    counts the answers given from the memo, per kind.  A memo serves one
+    claim on one thread, so it takes no lock.
+    """
+
+    def __init__(self):
+        self._results: Dict[tuple, object] = {}
+        self.hits: Dict[str, int] = dict.fromkeys(PURPOSES + (RETRIEVAL,), 0)
+
+    def recall(self, kind: str, key, compute: Callable[[], object]):
+        """The result stored for (kind, key), or ``compute()``'s, stored."""
+        if (kind, key) in self._results:
+            self.hits[kind] += 1
+            return self._results[kind, key]
+        result = self._results[kind, key] = compute()
+        return result
+
+
 @dataclass
 class BackendSuite:
     """One backend per pipeline role, in fields named after the purposes, and
-    one generation policy per purpose."""
+    one generation policy per purpose.  The per-claim view that ``counted``
+    builds also carries the claim's ``ClaimMemo``."""
 
     graph_construction: object
     infilling: object
     verification: object
     selection: object
     policies: Dict[str, GenPolicy] = field(default_factory=DEFAULT_POLICIES.copy)
+    memo: Optional[ClaimMemo] = None
 
     @classmethod
     def single(cls, backend, **kwargs) -> "BackendSuite":
@@ -550,9 +589,32 @@ class BackendSuite:
     def backend_for(self, purpose: str):
         return getattr(self, purpose)
 
+    def recall_retrieval(self, fetch: Callable, index, query: str, k: int, gold_docs=None):
+        """``fetch(index, query, k, gold_docs)``, answered from the memo, if
+        this view carries one, when (query, k, gold doc ids) repeats.  Callers
+        pass their module's ``retrieve``, so a wrapper bound to that name sees
+        every retrieval the memo does not answer."""
+        if self.memo is None:
+            return fetch(index, query, k, gold_docs)
+        gold = tuple(doc.doc_id for doc in gold_docs) if gold_docs else ()
+        return self.memo.recall(
+            RETRIEVAL, (query, k, gold), lambda: fetch(index, query, k, gold_docs)
+        )
+
     def complete(self, purpose: str, prompt: str) -> GenResponse:
-        return self.backend_for(purpose).complete(self.request(purpose, prompt))
+        """Greedy requests repeated within a claim are answered from the memo;
+        sampling requests always reach the backend."""
+        request = self.request(purpose, prompt)
+        backend = self.backend_for(purpose)
+        if self.memo is None or request.decode_mode == SAMPLE:
+            return backend.complete(request)
+        return self.memo.recall(purpose, prompt, lambda: backend.complete(request))
 
     def counted(self) -> "BackendSuite":
-        """A view of this suite with every role wrapped in a CountingBackend."""
-        return replace(self, **{p: CountingBackend(self.backend_for(p)) for p in PURPOSES})
+        """A view of this suite for one claim: every role wrapped in a
+        CountingBackend, behind a fresh ClaimMemo, so the counts take in only
+        the requests actually sent."""
+        return replace(
+            self, memo=ClaimMemo(),
+            **{p: CountingBackend(self.backend_for(p)) for p in PURPOSES},
+        )

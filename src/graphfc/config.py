@@ -138,6 +138,8 @@ def _checked(name: str, value, expected: type):
 
 
 def _backend_config(role: str, raw: dict) -> BackendConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"backend {role} must be a JSON object, got {raw!r}")
     unknown = set(raw) - set(_BACKEND_FIELDS)
     if unknown:
         raise ConfigError(f"unknown backend config keys: {sorted(unknown)}")
@@ -157,6 +159,31 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
     return section
 
 
+_PRICE_KEYS = ("input_per_1k", "output_per_1k")
+
+
+def _price(model: str, price) -> tuple:
+    """(input, output) USD per 1k tokens, from an object with ``_PRICE_KEYS``
+    (a missing one is free) or a list of two numbers."""
+    name = f"prices {model!r}"
+    if isinstance(price, dict):
+        unknown = set(price) - set(_PRICE_KEYS)
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+        values = [price.get(key, 0.0) for key in _PRICE_KEYS]
+    elif isinstance(price, list) and len(price) == 2:
+        values = price
+    else:
+        raise ConfigError(
+            f"{name} must be an object with {' and/or '.join(_PRICE_KEYS)} "
+            f"or a list of two numbers, got {price!r}"
+        )
+    for value in values:
+        if _checked(name, value, float) < 0:
+            raise ConfigError(f"{name}: a price must be >= 0, got {value!r}")
+    return tuple(float(value) for value in values)
+
+
 def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus override values."""
     raw: dict = {}
@@ -168,9 +195,14 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
                 raw = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
     unknown = set(raw) - set(SCALAR_FIELDS) - {"backends", "prices"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name in ("backends", "prices"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ConfigError(f"{name} must be a JSON object, got {raw[name]!r}")
     config = RunConfig()
     given = {name: raw[name] for name in SCALAR_FIELDS if raw.get(name) is not None}
     given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
@@ -181,13 +213,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
             raise ConfigError(f"unknown backend role {role!r}")
         config.backends[role] = _backend_config(role, section)
     for model, price in raw.get("prices", {}).items():
-        if isinstance(price, dict):
-            config.prices[model] = (
-                float(price.get("input_per_1k", 0.0)),
-                float(price.get("output_per_1k", 0.0)),
-            )
-        else:
-            config.prices[model] = (float(price[0]), float(price[1]))
+        config.prices[model] = _price(model, price)
     config.validate()
     return config
 

@@ -224,7 +224,7 @@ def infill_path(
             substitutions = dict(leftover)
             substitutions[target] = reference
             retrieval_query = render_sentence(definition, bindings, substitutions=substitutions)
-        evidence = retrieve(index, retrieval_query, k, gold_docs)
+        evidence = backends.recall_retrieval(retrieve, index, retrieval_query, k, gold_docs)
         infill_query = build_infill_query(graph, target, bindings, blank_token)
         prompt = build_infill_prompt(evidence.concat, infill_query)
         response = backends.complete(PURPOSE_INFILL, prompt)

@@ -129,7 +129,9 @@ class VerdictTrace:
     timings: Dict[str, float] = field(default_factory=dict)
     input_tokens: int = 0
     output_tokens: int = 0
-    calls: Dict[str, int] = field(default_factory=dict)
+    calls: Dict[str, int] = field(default_factory=dict)  # requests sent, per purpose
+    # Repeats the claim's memo answered, per purpose and for "retrieval".
+    memo_hits: Dict[str, int] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
     error: str = ""
 
@@ -211,11 +213,11 @@ def verify_triplet(
 ) -> TripletJudgment:
     """Render the triplet, retrieve evidence with the rendered sentence as the
     query, and verify it under the GraphCheck document-level strategy."""
+    backends = _as_suite(backend)
     sentence = render_sentence(t, bindings)
-    bundle = retrieve(index, sentence, options.k, gold_docs)
+    bundle = backends.recall_retrieval(retrieve, index, sentence, options.k, gold_docs)
     return _judged(
-        sentence, bundle, _as_suite(backend),
-        options.graphcheck_strategy, options.truncation_chars,
+        sentence, bundle, backends, options.graphcheck_strategy, options.truncation_chars
     )
 
 
@@ -338,10 +340,11 @@ def run_pipeline(
     """
     opts = PipelineOptions(**options)
     started = time.monotonic()
+    # The claim's own view of the backends, with a memo that ends with it.
     counted = _as_suite(backend).counted()
     notes: List[str] = []
 
-    bundle = retrieve(index, claim_text, opts.k, gold_docs)
+    bundle = counted.recall_retrieval(retrieve, index, claim_text, opts.k, gold_docs)
     route = DIRECT if opts.mode == "direct" else GRAPHCHECK
     selector_answer = None
     if opts.mode == "dp_graphcheck":
@@ -380,6 +383,7 @@ def run_pipeline(
         input_tokens=sum(c.input_tokens for c in counters.values()),
         output_tokens=sum(c.output_tokens for c in counters.values()),
         calls={purpose: c.calls for purpose, c in counters.items()},
+        memo_hits=dict(counted.memo.hits),
         notes=notes,
     )
 
@@ -447,6 +451,7 @@ def trace_to_dict(trace: VerdictTrace) -> dict:
         ],
         "tokens": {"input": trace.input_tokens, "output": trace.output_tokens},
         "calls": dict(trace.calls),
+        "memo_hits": dict(trace.memo_hits),
         "notes": list(trace.notes),
         "error": trace.error,
         "timings": dict(trace.timings),
@@ -481,6 +486,10 @@ def format_trace_dict(row: dict) -> str:
         for j in record.get("judgments", []):
             where = f"  (evidence {j['evidence_index']})" if j["evidence_index"] >= 0 else ""
             lines.append(f"    {mark(j['label'])} {j['sentence']}{where}")
+    memo_hits = row.get("memo_hits")
+    if memo_hits:
+        shown = ", ".join(f"{kind}={n}" for kind, n in memo_hits.items() if n) or "none"
+        lines.append(f"  memo hits: {shown}")
     for note in row.get("notes", []):
         lines.append(f"  note: {note}")
     if row.get("error"):

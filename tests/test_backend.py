@@ -6,6 +6,7 @@ import json
 import threading
 
 import pytest
+import requests
 
 from graphfc.backend import (
     BackendError,
@@ -295,6 +296,35 @@ class TestHttpBackend:
         assert totals.output_tokens == 30
         expected = (100 / 1000 * 0.25 + 10 / 1000 * 1.5) + (200 / 1000 * 0.25 + 20 / 1000 * 1.5)
         assert totals.cost == expected
+
+    def test_each_thread_gets_its_own_session(self, stub):
+        backend = self.make(stub)
+        sessions = []
+
+        def work():
+            backend.complete(greedy("p"))
+            sessions.append(backend.session())
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert stub.request_count == 2
+        assert len(sessions) == 2 and sessions[0] is not sessions[1]
+        assert backend.session() is backend.session()
+        assert backend.session() not in sessions
+
+    def test_injected_session_serves_every_thread(self, stub):
+        injected = requests.Session()
+        backend = self.make(stub, session=injected)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(backend.session()))
+        thread.start()
+        thread.join()
+        assert seen == [injected]
+        assert backend.session() is injected
+        assert backend.complete(greedy("p")).text == "stub answer"
 
     def test_network_error_then_error(self):
         backend = HttpBackend(

@@ -107,3 +107,38 @@ class TestKnownKeysAndValues:
         path = write_config(tmp_path, {"backends": {"selection": {"type": "grpc"}}})
         with pytest.raises(ConfigError, match="selection.*type"):
             load_config(path)
+
+
+class TestPrices:
+    def test_object_and_list_forms(self, tmp_path):
+        path = write_config(tmp_path, {"prices": {
+            "a": {"input_per_1k": 0.5}, "b": [1, 2.5], "c": {},
+        }})
+        assert load_config(path).prices == {"a": (0.5, 0.0), "b": (1.0, 2.5), "c": (0.0, 0.0)}
+
+    @pytest.mark.parametrize("price", [
+        {"input_per_1k": "cheap"},   # not a number
+        {"output_per_1k": True},
+        [0.5],                        # a list of the wrong length
+        [0.5, 1.5, 2.5],
+        ["0.5", 1.5],
+        0.5,                          # neither a list nor an object
+        "0.5",
+        {"input_per_1K": 0.5},        # an unknown key
+        [-0.5, 1.5],                  # a negative price
+    ])
+    def test_bad_price_names_the_model(self, tmp_path, price):
+        path = write_config(tmp_path, {"prices": {"big-model": price}})
+        with pytest.raises(ConfigError, match="prices 'big-model'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("payload", [{"prices": [0.5, 1.5]}, {"backends": ["scripted"]},
+                                         {"backends": {"default": "scripted"}}, [1]])
+    def test_sections_must_be_objects(self, tmp_path, payload):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_cli_exits_with_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"prices": {"big-model": {"input_per_1k": "cheap"}}})
+        assert cli.main(["index", "--config", path]) == cli.EXIT_CONFIG
+        assert "prices 'big-model'" in capsys.readouterr().err
