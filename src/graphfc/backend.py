@@ -1,8 +1,12 @@
 """Text-generation backends: networked HTTP, scripted (for tests/replay),
-and a caching wrapper, plus request/cost accounting.
+and a caching wrapper, plus run-wide cost accounting and the per-claim view.
 
 All backends expose ``model`` and ``complete(GenRequest) -> GenResponse`` and
-are safe to share across threads.
+are safe to share across threads.  A ``BackendSuite`` holds one backend and
+one generation policy per pipeline role.  ``BackendSuite.counted`` gives each
+claim its own view of the suite, carrying a fresh ``ClaimMemo``: every
+completion and retrieval of the claim passes through that view, which answers
+repeats and counts the requests, and their tokens, that reach a backend.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import logging
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Union
 
 import requests
@@ -62,7 +66,6 @@ class GenResponse:
     text: str
     input_tokens: int = 0
     output_tokens: int = 0
-    latency: float = 0.0  # seconds
     from_cache: bool = False
 
 
@@ -72,7 +75,6 @@ class PurposeTotals:
     cache_hits: int = 0
     input_tokens: int = 0
     output_tokens: int = 0
-    wall_seconds: float = 0.0
     cost: float = 0.0
 
 
@@ -93,7 +95,6 @@ class CostLedger:
         with self._lock:
             totals = self._per_purpose.setdefault(purpose, PurposeTotals())
             totals.requests += 1
-            totals.wall_seconds += response.latency
             if response.from_cache:
                 totals.cache_hits += 1
                 return
@@ -110,15 +111,10 @@ class CostLedger:
             return {p: replace(t) for p, t in self._per_purpose.items()}
 
     def totals(self) -> PurposeTotals:
-        out = PurposeTotals()
-        for totals in self.per_purpose().values():
-            out.requests += totals.requests
-            out.cache_hits += totals.cache_hits
-            out.input_tokens += totals.input_tokens
-            out.output_tokens += totals.output_tokens
-            out.wall_seconds += totals.wall_seconds
-            out.cost += totals.cost
-        return out
+        rows = self.per_purpose().values()
+        return PurposeTotals(
+            *(sum(getattr(row, f.name) for row in rows) for f in fields(PurposeTotals))
+        )
 
 
 def approx_token_count(text: str) -> int:
@@ -208,7 +204,6 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        started = time.monotonic()
         last_status: Optional[int] = None
         last_body = ""
         attempts = 0
@@ -246,12 +241,7 @@ class HttpBackend:
                     "backend malformed response (attempt %d): %s", attempt + 1, exc
                 )
                 continue
-            result = GenResponse(
-                text=text,
-                input_tokens=input_tokens,
-                output_tokens=output_tokens,
-                latency=time.monotonic() - started,
-            )
+            result = GenResponse(text, input_tokens, output_tokens)
             if self.ledger is not None:
                 self.ledger.record(req.purpose, self.model, result)
             return result
@@ -315,13 +305,7 @@ class ScriptedBackend:
         with self._lock:
             return len(self.calls)
 
-    def reset_calls(self) -> None:
-        with self._lock:
-            self.calls.clear()
-            self._seen.clear()
-
     def complete(self, req: GenRequest) -> GenResponse:
-        started = time.monotonic()
         matched = [
             (i, r) for i, r in enumerate(self._registrations) if r.matches(req.prompt)
         ]
@@ -336,12 +320,7 @@ class ScriptedBackend:
             self._seen[key] = turn + 1
         registration = matched[min(turn, len(matched) - 1)][1]
         text = registration.answer(req.prompt)
-        result = GenResponse(
-            text=text,
-            input_tokens=approx_token_count(req.prompt),
-            output_tokens=approx_token_count(text),
-            latency=time.monotonic() - started,
-        )
+        result = GenResponse(text, approx_token_count(req.prompt), approx_token_count(text))
         if self.ledger is not None:
             self.ledger.record(req.purpose, self.model, result)
         return result
@@ -417,9 +396,7 @@ class ResponseCache:
                 except json.JSONDecodeError:
                     continue  # partial trailing write
                 self._entries[row["key"]] = GenResponse(
-                    text=row["text"],
-                    input_tokens=row["input_tokens"],
-                    output_tokens=row["output_tokens"],
+                    row["text"], row["input_tokens"], row["output_tokens"]
                 )
 
     def __len__(self) -> int:
@@ -442,11 +419,7 @@ class ResponseCache:
             "output_tokens": response.output_tokens,
         }
         with self._lock:
-            self._entries[key] = GenResponse(
-                text=response.text,
-                input_tokens=response.input_tokens,
-                output_tokens=response.output_tokens,
-            )
+            self._entries[key] = replace(response, from_cache=False)
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(json.dumps(row, ensure_ascii=False) + "\n")
@@ -481,37 +454,15 @@ class CachedBackend:
     def complete(self, req: GenRequest) -> GenResponse:
         if req.decode_mode == SAMPLE:
             return self.inner.complete(req)
-        started = time.monotonic()
         key = cache_key(self.model, req)
         cached = self.store.get(key)
         if cached is not None:
-            result = replace(cached, from_cache=True, latency=time.monotonic() - started)
+            result = replace(cached, from_cache=True)
             if self.ledger is not None:
                 self.ledger.record(req.purpose, self.model, result)
             return result
         result = self.inner.complete(req)
         self.store.put(key, result)
-        return result
-
-
-class CountingBackend:
-    """Per-claim proxy that counts calls and accumulates token usage."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-        self.input_tokens = 0
-        self.output_tokens = 0
-
-    @property
-    def model(self) -> str:
-        return self.inner.model
-
-    def complete(self, req: GenRequest) -> GenResponse:
-        result = self.inner.complete(req)
-        self.calls += 1
-        self.input_tokens += result.input_tokens
-        self.output_tokens += result.output_tokens
         return result
 
 
@@ -536,17 +487,22 @@ DEFAULT_POLICIES = {
 
 
 class ClaimMemo:
-    """Results of work already done for one claim, answered again on repeat.
+    """Results of work already done for one claim, answered again on repeat,
+    and the claim's account of the requests that reached a backend.
 
     Keys are (kind, key): a purpose and a prompt for greedy completions,
     ``RETRIEVAL`` and (query, k, gold doc ids) for retrievals.  ``hits``
-    counts the answers given from the memo, per kind.  A memo serves one
-    claim on one thread, so it takes no lock.
+    counts the answers given from the memo, per kind; ``calls`` and the token
+    totals count the responses backends returned, per purpose.  A memo
+    serves one claim on one thread, so it takes no lock.
     """
 
     def __init__(self):
         self._results: Dict[tuple, object] = {}
         self.hits: Dict[str, int] = dict.fromkeys(PURPOSES + (RETRIEVAL,), 0)
+        self.calls: Dict[str, int] = dict.fromkeys(PURPOSES, 0)
+        self.input_tokens = 0
+        self.output_tokens = 0
 
     def recall(self, kind: str, key, compute: Callable[[], object]):
         """The result stored for (kind, key), or ``compute()``'s, stored."""
@@ -556,12 +512,20 @@ class ClaimMemo:
         result = self._results[kind, key] = compute()
         return result
 
+    def sent(self, purpose: str, response: GenResponse) -> GenResponse:
+        """Count a response that a backend returned for this claim."""
+        self.calls[purpose] += 1
+        self.input_tokens += response.input_tokens
+        self.output_tokens += response.output_tokens
+        return response
+
 
 @dataclass
 class BackendSuite:
     """One backend per pipeline role, in fields named after the purposes, and
     one generation policy per purpose.  The per-claim view that ``counted``
-    builds also carries the claim's ``ClaimMemo``."""
+    builds also carries the claim's ``ClaimMemo``, through which it sends,
+    memoizes and counts."""
 
     graph_construction: object
     infilling: object
@@ -576,15 +540,8 @@ class BackendSuite:
         return cls(backend, backend, backend, backend, **kwargs)
 
     def request(self, purpose: str, prompt: str) -> GenRequest:
-        policy = self.policies[purpose]
-        return GenRequest(
-            prompt=prompt,
-            max_new_tokens=policy.max_new_tokens,
-            temperature=policy.temperature,
-            top_p=policy.top_p,
-            decode_mode=policy.decode_mode,
-            purpose=purpose,
-        )
+        # GenPolicy's fields are the generation parameters of GenRequest.
+        return GenRequest(prompt=prompt, purpose=purpose, **vars(self.policies[purpose]))
 
     def backend_for(self, purpose: str):
         return getattr(self, purpose)
@@ -603,18 +560,21 @@ class BackendSuite:
 
     def complete(self, purpose: str, prompt: str) -> GenResponse:
         """Greedy requests repeated within a claim are answered from the memo;
-        sampling requests always reach the backend."""
+        sampling requests always reach the backend.  The memo counts each
+        response a backend returns."""
         request = self.request(purpose, prompt)
-        backend = self.backend_for(purpose)
-        if self.memo is None or request.decode_mode == SAMPLE:
+        backend, memo = self.backend_for(purpose), self.memo
+        if memo is None:
             return backend.complete(request)
-        return self.memo.recall(purpose, prompt, lambda: backend.complete(request))
+
+        def send() -> GenResponse:
+            return memo.sent(purpose, backend.complete(request))
+
+        if request.decode_mode == SAMPLE:
+            return send()
+        return memo.recall(purpose, prompt, send)
 
     def counted(self) -> "BackendSuite":
-        """A view of this suite for one claim: every role wrapped in a
-        CountingBackend, behind a fresh ClaimMemo, so the counts take in only
-        the requests actually sent."""
-        return replace(
-            self, memo=ClaimMemo(),
-            **{p: CountingBackend(self.backend_for(p)) for p in PURPOSES},
-        )
+        """A view of this suite for one claim, with a fresh ClaimMemo that
+        answers the claim's repeats and counts what reaches a backend."""
+        return replace(self, memo=ClaimMemo())

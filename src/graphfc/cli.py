@@ -56,30 +56,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+# Override flags not spelled after their config field.
+_FLAG_NAMES = {
+    "index_path": "--index",
+    "dataset_format": "--format",
+    "report_path": "--report",
+    "traces_path": "--traces",
+}
+# The values an override flag accepts, where the set is fixed.
+_STRATEGIES = tuple(s.value for s in DocStrategy)
+_FLAG_CHOICES = {
+    "dataset_format": DATASET_FORMATS,
+    "pipeline": PIPELINE_MODES,
+    "evidence_mode": EVIDENCE_MODES,
+    "direct_strategy": _STRATEGIES,
+    "graphcheck_strategy": _STRATEGIES,
+}
+
+
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per scalar config field except ``include_definitions``."""
-    strategies = [s.value for s in DocStrategy]
+    """``--config`` plus one flag per scalar config field except
+    ``include_definitions``."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--corpus", help="corpus JSONL path")
-    parser.add_argument("--index", dest="index_path", help="index file path")
-    parser.add_argument("--dataset", help="dataset JSONL path")
-    parser.add_argument("--format", dest="dataset_format",
-                        choices=DATASET_FORMATS, help="dataset format")
-    parser.add_argument("--k", type=int, help="retrieval depth")
-    parser.add_argument("--path-limit", dest="path_limit", type=int,
-                        help="max identification paths per claim")
-    parser.add_argument("--seed", type=int, help="path sampling seed")
-    parser.add_argument("--pipeline", choices=PIPELINE_MODES, help="pipeline mode")
-    parser.add_argument("--evidence-mode", dest="evidence_mode",
-                        choices=EVIDENCE_MODES, help="evidence assembly mode")
-    parser.add_argument("--direct-strategy", dest="direct_strategy", choices=strategies)
-    parser.add_argument("--graphcheck-strategy", dest="graphcheck_strategy", choices=strategies)
-    parser.add_argument("--blank-token", dest="blank_token", help="infilling sentinel token")
-    parser.add_argument("--truncation-chars", dest="truncation_chars", type=int,
-                        help="max chars per evidence input")
-    parser.add_argument("--workers", type=int, help="claim worker count")
-    parser.add_argument("--report", dest="report_path", help="report JSON output path")
-    parser.add_argument("--traces", dest="traces_path", help="traces JSONL output path")
+    for name, kind in SCALAR_FIELDS.items():
+        if kind is bool:
+            continue
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, type=None if kind is str else kind,
+                            choices=_FLAG_CHOICES.get(name), help=f"config field {name}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

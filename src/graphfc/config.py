@@ -147,10 +147,16 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
         if value is not None:
             _checked(f"backend {role}: {name}", value, _BACKEND_FIELDS[name])
     section = BackendConfig(**raw)
-    if section.max_new_tokens is not None and section.max_new_tokens < 1:
-        raise ConfigError(
-            f"backend {role}: max_new_tokens must be >= 1, got {section.max_new_tokens}"
-        )
+    for name, holds, bound in (
+        ("max_new_tokens", section.max_new_tokens is None or section.max_new_tokens >= 1, ">= 1"),
+        ("max_attempts", section.max_attempts >= 1, ">= 1"),
+        ("timeout", section.timeout > 0, "> 0"),
+        ("retry_base_delay", section.retry_base_delay >= 0, ">= 0"),
+    ):
+        if not holds:
+            raise ConfigError(
+                f"backend {role}: {name} must be {bound}, got {getattr(section, name)}"
+            )
     for name, allowed in (("type", BACKEND_TYPES), ("decode_mode", DECODE_MODES)):
         if getattr(section, name) not in allowed:
             raise ConfigError(

@@ -230,10 +230,6 @@ class ClaimGraph:
     def placeholders(self) -> tuple:
         return tuple(self.latent_defs.keys())
 
-    def definition_object_text(self, p: PlaceholderId) -> str:
-        """Surface text of the definitional triplet's object (e.g. "a musician")."""
-        return segments_surface(self.latent_defs[p].object)
-
 
 def _error(kind: str, line: int, message: str) -> GraphDiagnostic:
     return GraphDiagnostic("error", kind, line, message)

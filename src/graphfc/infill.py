@@ -119,6 +119,18 @@ def _qualifying(triples, target: PlaceholderId, bound) -> List[Triplet]:
     return selected
 
 
+def _unbound_surfaces(
+    definition: Triplet, target: PlaceholderId, bindings: Dict[PlaceholderId, str]
+) -> Dict[PlaceholderId, str]:
+    """Each placeholder of ``definition`` other than the target that is still
+    unbound, mapped to its surface form."""
+    return {
+        p: p.surface
+        for p in placeholders_of(definition)
+        if p != target and p not in bindings
+    }
+
+
 def reference_text(
     graph: ClaimGraph, target: PlaceholderId, bindings: Dict[PlaceholderId, str]
 ) -> str:
@@ -159,15 +171,10 @@ def build_infill_query(
     definition = graph.latent_defs[target]
     # The definitional sentence is appended unconditionally; any other
     # still-unbound placeholder inside it renders in surface form.
-    leftover = {
-        p: p.surface
-        for p in placeholders_of(definition)
-        if p != target and p not in bindings
-    }
     sentences.append(
         render_sentence(
             definition, bindings, blank=target, blank_token=blank_token,
-            substitutions=leftover,
+            substitutions=_unbound_surfaces(definition, target, bindings),
         )
     )
     return " ".join(sentences)
@@ -216,13 +223,7 @@ def infill_path(
         if not retrieval_query:
             # Isolated target: fall back to its definitional sentence.
             definition = graph.latent_defs[target]
-            leftover = {
-                p: p.surface
-                for p in placeholders_of(definition)
-                if p != target and p not in bindings
-            }
-            substitutions = dict(leftover)
-            substitutions[target] = reference
+            substitutions = {**_unbound_surfaces(definition, target, bindings), target: reference}
             retrieval_query = render_sentence(definition, bindings, substitutions=substitutions)
         evidence = backends.recall_retrieval(retrieve, index, retrieval_query, k, gold_docs)
         infill_query = build_infill_query(graph, target, bindings, blank_token)

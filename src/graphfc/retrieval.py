@@ -63,7 +63,7 @@ class Document:
 
 @dataclass(frozen=True)
 class EvidenceBundle:
-    """Top-k retrieved documents and their concatenation.
+    """Top-k retrieved documents.
 
     ``docs`` is ordered by score descending (ties by ascending doc_id); gold
     documents injected by merge_gold carry an infinite score sentinel and are
@@ -71,7 +71,6 @@ class EvidenceBundle:
     """
 
     docs: Tuple  # of (Document, float)
-    concat: str
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -84,15 +83,18 @@ class EvidenceBundle:
     def texts(self) -> Tuple:
         return tuple(doc.display_text for doc, _ in self.docs)
 
+    @property
+    def concat(self) -> str:
+        """The documents' display texts joined by ``CONCAT_SEPARATOR``."""
+        return CONCAT_SEPARATOR.join(self.texts)
+
     @staticmethod
     def display_score(score: float) -> str:
         return "gold" if score == GOLD_SCORE else f"{score:.6f}"
 
 
 def _bundle(scored_docs: Iterable[Tuple[Document, float]]) -> EvidenceBundle:
-    docs = tuple(scored_docs)
-    concat = CONCAT_SEPARATOR.join(doc.display_text for doc, _ in docs)
-    return EvidenceBundle(docs, concat)
+    return EvidenceBundle(tuple(scored_docs))
 
 
 EMPTY_BUNDLE = _bundle(())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .backend import PURPOSE_GRAPH, PURPOSE_SELECT, PURPOSE_VERIFY, PURPOSES, BackendSuite
+from .backend import PURPOSE_GRAPH, PURPOSE_SELECT, PURPOSE_VERIFY, BackendSuite
 from .graph import (
     DEFAULT_BLANK_TOKEN,
     ClaimGraph,
@@ -136,12 +136,6 @@ class VerdictTrace:
     error: str = ""
 
 
-def _as_suite(backend) -> BackendSuite:
-    if isinstance(backend, BackendSuite):
-        return backend
-    return BackendSuite.single(backend)
-
-
 def truncated_concat(bundle: EvidenceBundle, budget: int) -> str:
     """Concatenation capped at ``budget`` chars by dropping whole documents
     from the tail (the first document is hard-truncated if it alone overflows)."""
@@ -181,10 +175,10 @@ def _judge_sentence(sentence: str, texts: List[str], backends: BackendSuite) -> 
     return Label.NOT_SUPPORTED, -1
 
 
-def verify_sentence(sentence: str, evidence_texts: List[str], backend) -> Label:
+def verify_sentence(sentence: str, evidence_texts: List[str], backends: BackendSuite) -> Label:
     """Check one sentence against evidence inputs in order, short-circuiting
     on the first affirmative answer."""
-    label, _ = _judge_sentence(sentence, list(evidence_texts), _as_suite(backend))
+    label, _ = _judge_sentence(sentence, list(evidence_texts), backends)
     return label
 
 
@@ -207,13 +201,12 @@ def verify_triplet(
     t: Triplet,
     bindings: Dict,
     index: Index,
-    backend,
+    backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> TripletJudgment:
     """Render the triplet, retrieve evidence with the rendered sentence as the
     query, and verify it under the GraphCheck document-level strategy."""
-    backends = _as_suite(backend)
     sentence = render_sentence(t, bindings)
     bundle = backends.recall_retrieval(retrieve, index, sentence, options.k, gold_docs)
     return _judged(
@@ -233,13 +226,12 @@ def verify_path(
     graph: ClaimGraph,
     outcome: InfillOutcome,
     index: Index,
-    backend,
+    backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> Tuple[Label, List[TripletJudgment]]:
     """Verify every triplet under the path's bindings, stopping at the first
     failure."""
-    backends = _as_suite(backend)
     judgments: List[TripletJudgment] = []
     for t in path_triplets(graph, options.include_definitions):
         judgment = verify_triplet(t, outcome.bindings, index, backends, options, gold_docs)
@@ -252,13 +244,12 @@ def verify_path(
 def verify_claim_graphcheck(
     graph: ClaimGraph,
     index: Index,
-    backend,
+    backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> Tuple[Label, List[PathRecord]]:
     """Infill and verify each identification path, returning Supported as soon
     as one path passes."""
-    backends = _as_suite(backend)
     records: List[PathRecord] = []
     for path in enumerate_paths(graph, options.budget):
         outcome = infill_path(
@@ -274,15 +265,14 @@ def verify_claim_graphcheck(
 def direct_verify(
     claim_text: str,
     index: Index,
-    backend,
+    backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
 ) -> Tuple[Label, EvidenceBundle]:
     """One-shot verification of the claim against its own retrieval results."""
-    bundle = retrieve(index, claim_text, options.k, gold_docs)
+    bundle = backends.recall_retrieval(retrieve, index, claim_text, options.k, gold_docs)
     judgment = _judged(
-        claim_text, bundle, _as_suite(backend),
-        options.direct_strategy, options.truncation_chars,
+        claim_text, bundle, backends, options.direct_strategy, options.truncation_chars
     )
     return judgment.label, bundle
 
@@ -290,16 +280,15 @@ def direct_verify(
 def select_strategy(
     claim_text: str,
     index: Index,
-    backend,
+    backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
     gold_docs=None,
     evidence: Optional[EvidenceBundle] = None,
 ) -> StrategyChoice:
     """Ask whether the claim-level evidence suffices; affirmative routes to
     Direct, anything else to the full graph pipeline."""
-    backends = _as_suite(backend)
     if evidence is None:
-        evidence = retrieve(index, claim_text, options.k, gold_docs)
+        evidence = backends.recall_retrieval(retrieve, index, claim_text, options.k, gold_docs)
     concat = truncated_concat(evidence, options.truncation_chars)
     response = backends.complete(PURPOSE_SELECT, build_select_prompt(concat, claim_text))
     value = DIRECT if is_affirmative(response.text) else GRAPHCHECK
@@ -325,7 +314,7 @@ def _obtain_graph(claim_text, pregenerated_graph, backends, notes):
 def run_pipeline(
     claim_text: str,
     index: Index,
-    backend,
+    backends: BackendSuite,
     *,
     claim_id: str = "",
     pregenerated_graph: Optional[str] = None,
@@ -341,7 +330,7 @@ def run_pipeline(
     opts = PipelineOptions(**options)
     started = time.monotonic()
     # The claim's own view of the backends, with a memo that ends with it.
-    counted = _as_suite(backend).counted()
+    counted = backends.counted()
     notes: List[str] = []
 
     bundle = counted.recall_retrieval(retrieve, index, claim_text, opts.k, gold_docs)
@@ -370,7 +359,7 @@ def run_pipeline(
     else:
         final, paths = verify_claim_graphcheck(graph, index, counted, opts, gold_docs)
 
-    counters = {purpose: counted.backend_for(purpose) for purpose in PURPOSES}
+    memo = counted.memo
     return VerdictTrace(
         claim_id=claim_id,
         claim_text=claim_text,
@@ -380,17 +369,17 @@ def run_pipeline(
         direct_judgment=direct_judgment,
         paths=paths,
         timings={"total_s": time.monotonic() - started},
-        input_tokens=sum(c.input_tokens for c in counters.values()),
-        output_tokens=sum(c.output_tokens for c in counters.values()),
-        calls={purpose: c.calls for purpose, c in counters.items()},
-        memo_hits=dict(counted.memo.hits),
+        input_tokens=memo.input_tokens,
+        output_tokens=memo.output_tokens,
+        calls=dict(memo.calls),
+        memo_hits=dict(memo.hits),
         notes=notes,
     )
 
 
-def dp_graphcheck(claim_text: str, index: Index, backend, **kwargs) -> VerdictTrace:
+def dp_graphcheck(claim_text: str, index: Index, backends: BackendSuite, **kwargs) -> VerdictTrace:
     """Adaptive verification: ``run_pipeline`` with the selector routing."""
-    return run_pipeline(claim_text, index, backend, mode="dp_graphcheck", **kwargs)
+    return run_pipeline(claim_text, index, backends, mode="dp_graphcheck", **kwargs)
 
 
 def _bundle_to_dict(bundle: Optional[EvidenceBundle]) -> Optional[List[dict]]:

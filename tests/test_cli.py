@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,36 @@ from graphfc import cli
 from graphfc.evaluate import macro_f1
 
 from clifixtures import build_eval_fixture, make_claims
+
+
+# Each override flag of ``eval``: its argument, a valid value and the value
+# parsed into that argument.
+EVAL_FLAGS = {
+    "--config": ("config", "c.json", "c.json"),
+    "--corpus": ("corpus", "c.jsonl", "c.jsonl"),
+    "--index": ("index_path", "i.json", "i.json"),
+    "--dataset": ("dataset", "d.jsonl", "d.jsonl"),
+    "--format": ("dataset_format", "hover", "hover"),
+    "--k": ("k", "7", 7),
+    "--path-limit": ("path_limit", "3", 3),
+    "--seed": ("seed", "4", 4),
+    "--pipeline": ("pipeline", "direct", "direct"),
+    "--evidence-mode": ("evidence_mode", "open_book_gold", "open_book_gold"),
+    "--direct-strategy": ("direct_strategy", "each", "each"),
+    "--graphcheck-strategy": ("graphcheck_strategy", "concat", "concat"),
+    "--blank-token": ("blank_token", "<X>", "<X>"),
+    "--truncation-chars": ("truncation_chars", "500", 500),
+    "--workers": ("workers", "2", 2),
+    "--report": ("report_path", "r.json", "r.json"),
+    "--traces": ("traces_path", "t.jsonl", "t.jsonl"),
+}
+EVAL_CHOICES = {
+    "--format": ("hover", "exfever", "generic"),
+    "--pipeline": ("dp_graphcheck", "graphcheck", "direct"),
+    "--evidence-mode": ("open_book", "open_book_gold"),
+    "--direct-strategy": ("concat", "each", "concat_each"),
+    "--graphcheck-strategy": ("concat", "each", "concat_each"),
+}
 
 
 @pytest.fixture()
@@ -223,3 +254,31 @@ class TestTraceCommand:
         capsys.readouterr()
         assert cli.main(["trace", "--file", trace_out]) == 0
         assert "claim dir00" in capsys.readouterr().out
+
+
+class TestOverrideFlags:
+    def test_eval_flags_are_pinned(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["eval", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == set(EVAL_FLAGS)
+
+    def test_each_eval_flag_parses_into_its_argument(self):
+        argv = ["eval"] + [part for flag, (_, value, _) in EVAL_FLAGS.items()
+                           for part in (flag, value)]
+        args = cli.build_parser().parse_args(argv)
+        for flag, (dest, _, parsed) in EVAL_FLAGS.items():
+            assert getattr(args, dest) == parsed, flag
+        assert set(vars(args)) == {dest for dest, _, _ in EVAL_FLAGS.values()} | {
+            "command", "handler",
+        }
+
+    @pytest.mark.parametrize("flag,allowed", EVAL_CHOICES.items())
+    def test_choices(self, flag, allowed):
+        dest = EVAL_FLAGS[flag][0]
+        for value in allowed:
+            assert getattr(cli.build_parser().parse_args(["eval", flag, value]), dest) == value
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(["eval", flag, "bogus"])
+        assert exit_info.value.code == 1

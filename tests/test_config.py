@@ -84,6 +84,33 @@ class TestMaxNewTokens:
             load_config(path)
 
 
+class TestRequestSettings:
+    """A backend section's retry and timeout settings are checked at load,
+    instead of failing every claim's first request."""
+
+    def load_http(self, tmp_path, **section):
+        backend = {"type": "http", "endpoint": "http://localhost:1/v1", **section}
+        return load_config(write_config(tmp_path, {"backends": {"verification": backend}}))
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_attempts_below_one_is_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="verification.*max_attempts must be >= 1"):
+            self.load_http(tmp_path, max_attempts=value)
+        assert self.load_http(tmp_path, max_attempts=1).backends["verification"].max_attempts == 1
+
+    @pytest.mark.parametrize("value", [0, -2.5])
+    def test_timeout_must_be_positive(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="verification.*timeout must be > 0"):
+            self.load_http(tmp_path, timeout=value)
+        assert self.load_http(tmp_path, timeout=0.5).backends["verification"].timeout == 0.5
+
+    def test_negative_retry_base_delay_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="verification.*retry_base_delay must be >= 0"):
+            self.load_http(tmp_path, retry_base_delay=-0.1)
+        section = self.load_http(tmp_path, retry_base_delay=0).backends["verification"]
+        assert section.retry_base_delay == 0
+
+
 class TestKnownKeysAndValues:
     def test_unknown_top_level_key_is_named(self, tmp_path):
         with pytest.raises(ConfigError, match="truncation_char"):

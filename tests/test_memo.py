@@ -4,12 +4,14 @@ claim are answered once, and only what is actually sent is counted."""
 from __future__ import annotations
 
 import collections
+from dataclasses import replace
 
 import pytest
 
 from graphfc import retrieval
 from graphfc.backend import (
     DEFAULT_POLICIES,
+    GREEDY,
     PURPOSES,
     RETRIEVAL,
     SAMPLE,
@@ -18,14 +20,17 @@ from graphfc.backend import (
     ClaimMemo,
     GenPolicy,
     ScriptedBackend,
+    approx_token_count,
 )
 from graphfc.verdict import (
     DocStrategy,
     Label,
     PipelineOptions,
+    direct_verify,
     dp_graphcheck,
     format_trace,
     run_pipeline,
+    select_strategy,
     trace_to_dict,
     verify_claim_graphcheck,
 )
@@ -42,11 +47,13 @@ from scenarios import NO_TRUNCATION, make_scenario, scenario_suite
 
 
 class Recorder:
-    """Passes requests on and keeps each one, for per-claim assertions."""
+    """Passes requests on and keeps each one, and each response returned, for
+    per-claim assertions."""
 
     def __init__(self, inner):
         self.inner = inner
         self.requests = []
+        self.responses = []
 
     @property
     def model(self):
@@ -54,7 +61,9 @@ class Recorder:
 
     def complete(self, req):
         self.requests.append(req)
-        return self.inner.complete(req)
+        response = self.inner.complete(req)
+        self.responses.append(response)
+        return response
 
 
 @pytest.fixture
@@ -232,3 +241,52 @@ class TestClaimMemo:
         suite.complete("verification", "p")
         suite.complete("verification", "p")
         assert backend.call_count == 2
+
+
+class TestViewAccounting:
+    """A claim's view counts the requests that reached a backend and their
+    tokens: not the repeats its memo answered, nor a request that failed."""
+
+    @pytest.mark.parametrize("decode_mode", [GREEDY, SAMPLE])
+    def test_tokens_sum_the_requests_the_roles_received(self, band_index, decode_mode):
+        suite = same_bindings_suite({"verification": GenPolicy(decode_mode=decode_mode)})
+        roles = {p: Recorder(suite.backend_for(p)) for p in PURPOSES}
+        trace = run_two_paths(band_index, replace(suite, **roles))
+        sent = [req for recorder in roles.values() for req in recorder.requests]
+        texts = [r.text for recorder in roles.values() for r in recorder.responses]
+        assert trace.input_tokens == sum(approx_token_count(req.prompt) for req in sent)
+        assert trace.output_tokens == sum(approx_token_count(text) for text in texts)
+        assert trace.calls == {p: len(recorder.requests) for p, recorder in roles.items()}
+        # Greedy: the second path's five sentences are memo hits, not sent.
+        # Sampling: every repeat is sent and counted.
+        repeats = 5 if decode_mode == SAMPLE else 0
+        assert trace.calls["verification"] == 5 + repeats
+        assert trace.memo_hits["verification"] == 5 - repeats
+
+    @pytest.mark.parametrize("decode_mode", [GREEDY, SAMPLE])
+    def test_a_failed_request_counts_in_neither_calls_nor_tokens(self, decode_mode):
+        backend = Recorder(ScriptedBackend().register("known prompt", "yes"))
+        view = BackendSuite.single(backend).counted()
+        view.policies = {**DEFAULT_POLICIES, "verification": GenPolicy(decode_mode=decode_mode)}
+        with pytest.raises(BackendError):
+            view.complete("verification", "unknown prompt")
+        view.complete("verification", "known prompt")
+        assert len(backend.requests) == 2
+        assert view.memo.calls == {
+            "graph_construction": 0, "infilling": 0, "verification": 1, "selection": 0,
+        }
+        assert (view.memo.input_tokens, view.memo.output_tokens) == (2, 1)
+
+    def test_direct_verify_and_selector_retrieve_through_the_view(
+        self, band_index, search_counter
+    ):
+        view = same_bindings_suite().counted()
+        options = PipelineOptions(k=2)
+        choice = select_strategy(BAND_CLAIM, band_index, view, options)
+        label, bundle = direct_verify(BAND_CLAIM, band_index, view, options)
+        assert (choice.value, label) == ("GraphCheck", Label.SUPPORTED)
+        again, _ = direct_verify(BAND_CLAIM, band_index, view, options)
+        assert again is label
+        assert view.memo.hits[RETRIEVAL] == 2
+        assert sum(search_counter.values()) == 1
+        assert len(bundle) == 2

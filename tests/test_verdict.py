@@ -79,18 +79,20 @@ class TestNormalization:
 class TestVerifySentence:
     def test_second_evidence_supports(self):
         backend = verifier("false", "true")
-        label = verify_sentence("s", ["e1", "e2"], backend)
+        label = verify_sentence("s", ["e1", "e2"], BackendSuite.single(backend))
         assert label is Label.SUPPORTED
         assert backend.call_count == 2
 
     def test_all_negative(self):
         backend = verifier("false", "false", "no")
-        assert verify_sentence("s", ["e1", "e2", "e3"], backend) is Label.NOT_SUPPORTED
+        assert verify_sentence(
+            "s", ["e1", "e2", "e3"], BackendSuite.single(backend)
+        ) is Label.NOT_SUPPORTED
         assert backend.call_count == 3
 
     def test_normalization_and_short_circuit(self):
         backend = verifier("True.")
-        assert verify_sentence("s", ["e1", "e2"], backend) is Label.SUPPORTED
+        assert verify_sentence("s", ["e1", "e2"], BackendSuite.single(backend)) is Label.SUPPORTED
         assert backend.call_count == 1
 
     def test_prompt_format(self):
@@ -98,7 +100,9 @@ class TestVerifySentence:
             "Evidence: the evidence\nClaim: the claim\nIs the claim true or false?\nAnswer:",
             "true",
         )
-        assert verify_sentence("the claim", ["the evidence"], backend) is Label.SUPPORTED
+        assert verify_sentence(
+            "the claim", ["the evidence"], BackendSuite.single(backend)
+        ) is Label.SUPPORTED
 
 
 class TestEvidenceTexts:
@@ -156,7 +160,7 @@ class TestVerifyTriplet:
         )
         t = parse_triplet_line("Davey Brozowski [SEP] is part of [SEP] Tall Birds")
         judgment = verify_triplet(
-            t, {}, index, backend,
+            t, {}, index, BackendSuite.single(backend),
             PipelineOptions(k=2, graphcheck_strategy=DocStrategy.CONCAT_EACH),
         )
         assert judgment.label is Label.NOT_SUPPORTED
@@ -168,7 +172,8 @@ class TestVerifyTriplet:
         backend = verifier("true")
         t = parse_triplet_line("Davey Brozowski [SEP] is part of [SEP] Tall Birds")
         judgment = verify_triplet(
-            t, {}, index, backend, PipelineOptions(k=1, graphcheck_strategy=DocStrategy.EACH)
+            t, {}, index, BackendSuite.single(backend),
+            PipelineOptions(k=1, graphcheck_strategy=DocStrategy.EACH),
         )
         assert judgment.label is Label.SUPPORTED
         assert backend.call_count == 1
@@ -178,7 +183,7 @@ class TestVerifyTriplet:
         index = self.setup_index()
         backend = verifier("true")
         t = parse_triplet_line("zzz [SEP] qqq [SEP] vvv")
-        judgment = verify_triplet(t, {}, index, backend, PipelineOptions(k=2))
+        judgment = verify_triplet(t, {}, index, BackendSuite.single(backend), PipelineOptions(k=2))
         assert judgment.label is Label.NOT_SUPPORTED
         assert judgment.note == "no evidence retrieved"
         assert backend.call_count == 0
@@ -190,7 +195,7 @@ class TestVerifyTriplet:
         )
         t = parse_triplet_line("(ENT1) [SEP] is part of [SEP] Tall Birds")
         judgment = verify_triplet(
-            t, {E1: "Davey Brozowski"}, index, backend,
+            t, {E1: "Davey Brozowski"}, index, BackendSuite.single(backend),
             PipelineOptions(k=1, graphcheck_strategy=DocStrategy.CONCAT),
         )
         assert judgment.label is Label.SUPPORTED
@@ -253,7 +258,7 @@ class TestVerifyPath:
         backend = verifier("true")
         outcome = infill_path(graph, Path(()), band_index, backend and band_suite(), k=2)
         label, judgments = verify_path(
-            graph, outcome, band_index, backend,
+            graph, outcome, band_index, BackendSuite.single(backend),
             PipelineOptions(k=2, graphcheck_strategy=DocStrategy.CONCAT),
         )
         assert label is Label.SUPPORTED
@@ -310,17 +315,23 @@ class TestVerifyClaimGraphcheck:
 
 class TestDirectAndSelector:
     def test_direct_true(self, band_index):
-        label, bundle = direct_verify(BAND_CLAIM, band_index, verifier("true"), PipelineOptions(k=2))
+        label, bundle = direct_verify(
+            BAND_CLAIM, band_index, BackendSuite.single(verifier("true")), PipelineOptions(k=2)
+        )
         assert label is Label.SUPPORTED
         assert len(bundle) >= 1
 
     def test_direct_false(self, band_index):
-        label, _ = direct_verify(BAND_CLAIM, band_index, verifier("false"), PipelineOptions(k=2))
+        label, _ = direct_verify(
+            BAND_CLAIM, band_index, BackendSuite.single(verifier("false")), PipelineOptions(k=2)
+        )
         assert label is Label.NOT_SUPPORTED
 
     def test_direct_empty_retrieval(self, band_index):
         backend = verifier("true")
-        label, bundle = direct_verify("qqq zzz vvv", band_index, backend, PipelineOptions(k=2))
+        label, bundle = direct_verify(
+            "qqq zzz vvv", band_index, BackendSuite.single(backend), PipelineOptions(k=2)
+        )
         assert label is Label.NOT_SUPPORTED
         assert len(bundle) == 0
         assert backend.call_count == 0
@@ -332,7 +343,9 @@ class TestDirectAndSelector:
         backend = ScriptedBackend().register_contains(
             "Does the evidence contain sufficient information", response=answer
         )
-        choice = select_strategy(BAND_CLAIM, band_index, backend, PipelineOptions(k=2))
+        choice = select_strategy(
+            BAND_CLAIM, band_index, BackendSuite.single(backend), PipelineOptions(k=2)
+        )
         assert choice.value == expected
         assert choice.selector_answer == answer
 
@@ -344,7 +357,9 @@ class TestDirectAndSelector:
             return "yes"
 
         backend = ScriptedBackend().register(lambda p: True, capture)
-        select_strategy("short claim x", band_index, backend, PipelineOptions(k=1))
+        select_strategy(
+            "short claim x", band_index, BackendSuite.single(backend), PipelineOptions(k=1)
+        )
         prompt = seen["prompt"]
         assert prompt.startswith("Evidence: ")
         assert "\nClaim: short claim x\n" in prompt
