@@ -148,6 +148,16 @@ def _retryable(status: int) -> bool:
     return status in (408, 429) or not 400 <= status < 500
 
 
+def _retry_after(response: requests.Response, cap: float) -> Optional[float]:
+    """The seconds a 429 or 503 response's ``Retry-After`` header asks to
+    wait, capped at ``cap``; None for other statuses, no header, or its
+    HTTP-date form."""
+    value = response.headers.get("Retry-After", "").strip()
+    if response.status_code in (429, 503) and value.isascii() and value.isdigit():
+        return min(float(value), cap)
+    return None
+
+
 class HttpBackend:
     """Client for a chat/completions-style JSON endpoint.
 
@@ -155,6 +165,8 @@ class HttpBackend:
     reads the first choice's message content plus the usage block.  Connection
     errors, malformed 200 bodies, 408, 429 and 5xx are retried with jittered
     exponential backoff up to ``max_attempts``; any other 4xx fails at once.
+    A 429 or 503 whose ``Retry-After`` header gives delta-seconds waits that
+    long instead of the backoff, at most ``timeout`` seconds.
     """
 
     def __init__(
@@ -207,11 +219,15 @@ class HttpBackend:
         last_status: Optional[int] = None
         last_body = ""
         attempts = 0
+        wait: Optional[float] = None  # what the last response's Retry-After asked for
         session = self.session()
         for attempt in range(self.max_attempts):
             if attempt:
-                delay = self.retry_base_delay * (2 ** (attempt - 1))
-                time.sleep(delay * self._rng.uniform(0.5, 1.5))
+                if wait is None:
+                    delay = self.retry_base_delay * (2 ** (attempt - 1))
+                    wait = delay * self._rng.uniform(0.5, 1.5)
+                time.sleep(wait)
+            wait = None
             attempts += 1
             try:
                 response = session.post(
@@ -232,6 +248,7 @@ class HttpBackend:
                 )
                 if not _retryable(last_status):
                     break
+                wait = _retry_after(response, self.timeout)
                 continue
             try:
                 text, input_tokens, output_tokens = _read_completion(response)

@@ -4,10 +4,15 @@ backend suites for the band-claim scenario used across the suite."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from graphfc.backend import BackendSuite, ScriptedBackend
 from graphfc.graph import parse_graph
 from graphfc.retrieval import Document, build_index
+
+# ``pytest --hypothesis-profile=ci`` runs five times Hypothesis' default
+# number of examples; tests that set their own count scale it to match.
+settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
 
 MUSICIAN_GRAPH = (
     "# Latent Entities:\n"

@@ -5,16 +5,26 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Dict
+
+
+@dataclass(frozen=True)
+class ErrorWithHeaders:
+    """An HTTP error status sent with extra response headers."""
+
+    status: int
+    headers: Dict[str, str]
 
 
 class StubServer:
     """Serves canned chat-completions responses with injectable failures.
 
     ``plan(...)`` queues per-request behaviors; each entry is an HTTP error
-    status (int), a raw 200 response body (bytes), or a (content,
-    prompt_tokens, completion_tokens) tuple.  When the queue is empty a
-    default 200 response is served.
+    status (int), an ``ErrorWithHeaders``, a raw 200 response body (bytes),
+    or a (content, prompt_tokens, completion_tokens) tuple.  When the queue
+    is empty a default 200 response is served.
     """
 
     def __init__(self):
@@ -33,8 +43,12 @@ class StubServer:
                     stub.requests.append(body)
                     action = stub._queue.popleft() if stub._queue else stub.default
                 if isinstance(action, int):
-                    payload = json.dumps({"error": f"injected {action}"}).encode()
-                    self.send_response(action)
+                    action = ErrorWithHeaders(action, {})
+                if isinstance(action, ErrorWithHeaders):
+                    payload = json.dumps({"error": f"injected {action.status}"}).encode()
+                    self.send_response(action.status)
+                    for name, value in action.headers.items():
+                        self.send_header(name, value)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(payload)))
                     self.end_headers()

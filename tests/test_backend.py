@@ -8,6 +8,7 @@ import threading
 import pytest
 import requests
 
+from graphfc import backend as backend_module
 from graphfc.backend import (
     BackendError,
     CachedBackend,
@@ -21,7 +22,7 @@ from graphfc.backend import (
     load_script,
 )
 
-from stub_server import StubServer
+from stub_server import ErrorWithHeaders, StubServer
 
 
 def greedy(prompt, purpose="verification", **kwargs):
@@ -284,6 +285,42 @@ class TestHttpBackend:
         backend = self.make(stub, max_attempts=3)
         assert backend.complete(greedy("p")).text == "recovered"
         assert stub.request_count == 2
+
+    @pytest.mark.parametrize("status, header, timeout, slept", [
+        (429, "2", 60.0, 2.0),
+        (503, "7", 60.0, 7.0),
+        (503, "120", 5.0, 5.0),  # capped at the timeout
+        (429, "0", 60.0, 0.0),
+    ])
+    def test_retry_after_seconds_are_honoured(self, stub, monkeypatch, status, header, timeout, slept):
+        sleeps = []
+        monkeypatch.setattr(backend_module.time, "sleep", sleeps.append)
+        stub.plan(ErrorWithHeaders(status, {"Retry-After": header}), ("recovered", 5, 2))
+        backend = self.make(stub, max_attempts=2, timeout=timeout)
+        assert backend.complete(greedy("p")).text == "recovered"
+        assert sleeps == [slept]
+
+    @pytest.mark.parametrize("status, header", [
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT"),  # the HTTP-date form is ignored
+        (500, "2"),  # only 429 and 503 carry it
+        (503, "-3"),
+        (503, "1.5"),
+    ])
+    def test_other_retry_after_falls_back_to_backoff(self, stub, monkeypatch, status, header):
+        sleeps = []
+        monkeypatch.setattr(backend_module.time, "sleep", sleeps.append)
+        stub.plan(ErrorWithHeaders(status, {"Retry-After": header}), ("recovered", 5, 2))
+        backend = self.make(stub, max_attempts=2, retry_base_delay=0.01)
+        assert backend.complete(greedy("p")).text == "recovered"
+        assert len(sleeps) == 1 and 0.005 <= sleeps[0] <= 0.015
+
+    def test_retry_after_applies_to_the_next_wait_only(self, stub, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(backend_module.time, "sleep", sleeps.append)
+        stub.plan(ErrorWithHeaders(429, {"Retry-After": "3"}), 500, ("recovered", 5, 2))
+        backend = self.make(stub, max_attempts=3, retry_base_delay=0.01)
+        assert backend.complete(greedy("p")).text == "recovered"
+        assert sleeps[0] == 3.0 and 0.01 <= sleeps[1] <= 0.03
 
     def test_ledger_records_usage(self, stub):
         stub.plan(("a", 100, 10), ("b", 200, 20))

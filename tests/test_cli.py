@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
@@ -77,6 +78,12 @@ class TestIndexCommand:
         ])
         assert code == 2
         assert "dup" in capsys.readouterr().err
+
+    def test_truncated_index_is_data_error(self, fixture, capsys):
+        with open(fixture["index"], "r+b") as handle:
+            handle.truncate(os.path.getsize(fixture["index"]) // 2)
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == f"data error: {fixture['index']}: index file is truncated\n"
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exit_info:

@@ -7,8 +7,15 @@ below, independently of the index implementation, and frozen here.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
+import os
+import re
+import sys
+import tempfile
+import threading
+import zlib
 from unittest import mock
 
 import pytest
@@ -29,6 +36,13 @@ from graphfc.retrieval import (
     search,
     tokenize,
 )
+
+
+def examples(n):
+    """``n`` Hypothesis examples, five times as many under the ``ci`` profile
+    (registered in conftest.py)."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
+
 
 # Index text is "title + ' ' + text":
 #   d1 -> "alpha x x y"   (4 tokens)
@@ -97,13 +111,15 @@ class TestBuildIndex:
 
     def test_title_is_indexed(self):
         # Hand count: "shakespeare" appears once in the Queen Mab sentence.
+        # The documents hold 10 and 9 tokens, titles included: 9.5 on average.
         docs = [
             Document("mab", "Queen Mab", "The fairy Queen Mab originated with William Shakespeare."),
             Document("geragos", "Mark Geragos", "Mark Geragos was involved in the scandal."),
         ]
         index = build_index(docs)
-        assert index.postings["shakespeare"] == ([0], [1])
-        assert index.postings["mab"] == ([0], [2])  # once in title, once in text
+        assert index.postings("shakespeare")[:2] == ([0], [bm25_term_score(1, 1, 2, 10, 9.5)])
+        # once in title, once in text
+        assert index.postings("mab")[:2] == ([0], [bm25_term_score(2, 1, 2, 10, 9.5)])
 
 
 class TestSearch:
@@ -203,7 +219,7 @@ class TestMergeGold:
             merge_gold(search(tiny_index, "x", k=2), self.make(3), k=2)
 
     @given(st.integers(min_value=0, max_value=5))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_every_gold_id_exactly_once(self, n_gold):
         index = build_index(TINY)
         retrieved = search(index, "x y q", k=5)
@@ -223,13 +239,22 @@ class TestMergeGold:
 
 class TestProperties:
     def test_postings_isolation(self):
-        base = build_index(TINY)
-        extended = build_index(TINY + [Document("d4", "noise", "unrelated words here")])
-        for term in ("x", "y", "q"):
-            assert base.postings[term] == extended.postings[term]
+        # Hand counts: each term's (ordinals, tfs), and the document lengths.
+        counted = {"x": ([0, 1], [2, 1]), "y": ([0, 2], [1, 2]), "q": ([2], [1])}
+        lengths = [4, 5, 4, 4]
+        for docs in (TINY, TINY + [Document("d4", "noise", "unrelated words here")]):
+            index = build_index(docs)
+            n = len(docs)
+            avg = sum(lengths[:n]) / n
+            for term, (ordinals, tfs) in counted.items():
+                weights = [
+                    bm25_term_score(tf, len(ordinals), n, lengths[o], avg)
+                    for o, tf in zip(ordinals, tfs)
+                ]
+                assert index.postings(term)[:2] == (ordinals, weights)
 
     @given(st.integers(min_value=1, max_value=50))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_score_monotone_in_tf(self, tf):
         low = bm25_term_score(tf, doc_freq=2, doc_count=10, doc_len=20, avg_doc_len=15.0)
         high = bm25_term_score(tf + 1, doc_freq=2, doc_count=10, doc_len=20, avg_doc_len=15.0)
@@ -237,18 +262,37 @@ class TestProperties:
 
 
 def brute_force_search(index, query, k):
-    """Reference scorer: bm25_term_score summed per posting, full sort."""
+    """Reference scorer: bm25_term_score summed per matching document, full
+    sort.  Term frequencies, document frequencies and document lengths are
+    counted from ``index.documents``, not read from the index."""
+    tfs = [collections.Counter(tokenize(doc.title + " " + doc.text)) for doc in index.documents]
+    lengths = [sum(counts.values()) for counts in tfs]
+    avg_doc_length = sum(lengths) / len(lengths)
     scores = {}
     for term in tokenize(query):
-        ordinals, tfs = index.postings.get(term, ((), ()))
-        for ordinal, tf in zip(ordinals, tfs):
+        ordinals = [o for o, counts in enumerate(tfs) if term in counts]
+        for ordinal in ordinals:
             contribution = bm25_term_score(
-                tf, len(ordinals), index.doc_count, index.doc_lengths[ordinal],
-                index.avg_doc_length, index.k1, index.b,
+                tfs[ordinal][term], len(ordinals), len(tfs), lengths[ordinal],
+                avg_doc_length, index.k1, index.b,
             )
             scores[ordinal] = scores.get(ordinal, 0.0) + contribution
     ranked = sorted(scores.items(), key=lambda item: (-item[1], index.documents[item[0]].doc_id))
     return [(index.documents[o].doc_id, s) for o, s in ranked[:k]]
+
+
+def round_trip(index):
+    """``index`` saved to a file and loaded back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index")
+        save_index(index, path)
+        return load_index(path)
+
+
+def built_and_loaded(docs):
+    """The index of ``docs`` as built, and after a round trip through a file."""
+    index = build_index(docs)
+    return index, round_trip(index)
 
 
 _WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -268,11 +312,11 @@ def corpora(draw):
 class TestSearchMatchesReference:
     @given(corpora(), st.lists(_WORDS, min_size=1, max_size=6).map(" ".join),
            st.integers(min_value=1, max_value=20))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_same_ranking_and_bit_equal_scores(self, docs, query, k):
-        index = build_index(docs)
-        got = [(doc.doc_id, score) for doc, score in search(index, query, k).docs]
-        assert got == brute_force_search(index, query, k)
+        for index in built_and_loaded(docs):
+            got = [(doc.doc_id, score) for doc, score in search(index, query, k).docs]
+            assert got == brute_force_search(index, query, k)
 
 
 _RARE = st.sampled_from(["zeta", "eta", "theta"])
@@ -310,48 +354,48 @@ class TestPrunedSearchMatchesReference:
     @_LOOKUP_COSTS
     @given(skewed_corpora(), st.lists(st.one_of(_RARE, _FREQUENT), min_size=1, max_size=8).map(" ".join),
            st.integers(min_value=1, max_value=5))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_same_ranking_and_bit_equal_scores(self, lookup_cost, docs, query, k):
-        index = build_index(docs)
-        assert pruned_search(index, query, k, lookup_cost) == brute_force_search(index, query, k)
+        for index in built_and_loaded(docs):
+            assert pruned_search(index, query, k, lookup_cost) == brute_force_search(index, query, k)
 
     @_LOOKUP_COSTS
     def test_stopword_only_query(self, lookup_cost):
-        index = build_index([
+        for index in built_and_loaded([
             Document("a", "", "the of of and"), Document("b", "", "the the"),
             Document("c", "", "of and and the"), Document("d", "", "the of"),
             Document("e", "", "zeta"),
-        ])
-        for k in (1, 2, 4, 10):
-            got = pruned_search(index, "the of the and", k, lookup_cost)
-            assert got == brute_force_search(index, "the of the and", k)
+        ]):
+            for k in (1, 2, 4, 10):
+                got = pruned_search(index, "the of the and", k, lookup_cost)
+                assert got == brute_force_search(index, "the of the and", k)
 
     @_LOOKUP_COSTS
     def test_repeated_terms_count_in_the_bounds(self, lookup_cost):
         # Once, "the" weighs less than "zeta"; three times, it outweighs it.
-        index = build_index([
+        for index in built_and_loaded([
             Document("rare", "", "zeta"), Document("busy", "", "the the the"),
             Document("mid", "", "the of"), Document("none", "", "of and"),
             Document("pad", "", "and of"),
-        ])
-        for query in ("zeta the the the", "the zeta the"):
-            got = pruned_search(index, query, 1, lookup_cost)
-            assert got == brute_force_search(index, query, 1)
-            assert got[0][0] == "busy"
+        ]):
+            for query in ("zeta the the the", "the zeta the"):
+                got = pruned_search(index, query, 1, lookup_cost)
+                assert got == brute_force_search(index, query, 1)
+                assert got[0][0] == "busy"
 
     @_LOOKUP_COSTS
     def test_near_ties_separated_only_by_rounding(self, lookup_cost):
         # Equal idf and length, tfs permuted: the scores agree to the last
         # ulp or two, and which one is larger depends on the order of the sum.
-        index = build_index([
+        for index in built_and_loaded([
             Document("d1", "", "x y z z z"), Document("d0", "", "x y y y z"),
             Document("d4", "", "x x x y z"), Document("d2", "", "x y z z z"),
             Document("d3", "", "x y z z z"),
-        ])
-        for query in ("y x z", "x y z", "z y x"):
-            for k in (1, 2):
-                got = pruned_search(index, query, k, lookup_cost)
-                assert got == brute_force_search(index, query, k)
+        ]):
+            for query in ("y x z", "x y z", "z y x"):
+                for k in (1, 2):
+                    got = pruned_search(index, query, k, lookup_cost)
+                    assert got == brute_force_search(index, query, k)
 
 
 class TestPersistence:
@@ -369,12 +413,14 @@ class TestPersistence:
         with pytest.raises(CorpusError, match="not a graphfc index"):
             load_index(str(path))
 
-    def test_empty_index_is_rejected(self, tmp_path, tiny_index):
+    def test_empty_index_is_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
-        save_index(tiny_index, str(path))
-        payload = json.loads(path.read_text())
-        payload.update(documents=[], doc_lengths=[], postings={})
-        path.write_text(json.dumps(payload))
+        blob = zlib.compress(b"")
+        header = {
+            "version": 3, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
+            "terms": [], "ends": [], "documents_bytes": len(blob),
+        }
+        path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(CorpusError, match="index has no documents"):
             load_index(str(path))
 
@@ -387,6 +433,136 @@ class TestPersistence:
         }))
         with pytest.raises(CorpusError, match="re-run `graphfc index`"):
             load_index(str(path))
+
+    def test_version_2_file_is_rejected(self, tmp_path):
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps({
+            "magic": "graphfc-index", "version": 2, "k1": 1.2, "b": 0.75,
+            "documents": [["d1", "alpha", "x"]], "doc_lengths": [2],
+            "postings": {"alpha": [[0], [1]], "x": [[0], [1]]},
+        }))
+        with pytest.raises(CorpusError, match="version 2 .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    def test_binary_file_without_magic_is_rejected(self, tmp_path):
+        path = tmp_path / "noise.bin"
+        path.write_bytes(bytes(range(256)))
+        with pytest.raises(CorpusError, match="not a graphfc index"):
+            load_index(str(path))
+
+    def test_newer_version_is_rejected(self, tmp_path, tiny_index):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=4)
+        with pytest.raises(CorpusError, match="version 4 .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    def test_same_corpus_saves_identical_bytes(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        save_index(build_index(TINY), str(first))
+        save_index(build_index(TINY), str(second))
+        assert first.read_bytes() == second.read_bytes()
+        save_index(load_index(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_any_text_round_trips(self):
+        docs = [
+            Document("id\x00nul", "Café ☕", "an emoji 🎉, a lone surrogate \ud800 and a NUL \x00."),
+            Document("d2", "", "plain"),
+        ]
+        index = build_index(docs)
+        loaded = round_trip(index)
+        assert list(loaded.documents) == list(index.documents) == docs
+        assert loaded.documents[-1] == docs[-1]
+        assert loaded.get_document("id\x00nul") == docs[0]
+        with pytest.raises(IndexError):
+            loaded.documents[2]
+
+    def test_truncated_file_is_rejected(self, tmp_path, tiny_index):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        data = path.read_bytes()
+        header_end = data.index(b"\n", len(b"graphfc-index\n")) + 1
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            if size < len(b"graphfc-index\n"):
+                problem = "not a graphfc index"
+            elif size < header_end - 1:  # the header's JSON is cut
+                problem = "corrupt index header"
+            else:
+                problem = "index file is truncated"
+            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: {problem}"):
+                load_index(str(path))
+
+    def test_header_lengths_must_match_the_file(self, tmp_path, tiny_index):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+        terms, ends, blob_bytes = header["terms"], header["ends"], header["documents_bytes"]
+        for changes, problem in (
+            ({"terms": terms[:-1], "ends": ends[:-1]}, "longer than its header says"),
+            ({"ends": ends[:-1] + [ends[-1] + 1]}, "truncated|corrupt document blob"),
+            ({"documents_bytes": blob_bytes - 1}, "longer than its header says"),
+            ({"documents_bytes": blob_bytes + 1}, "truncated"),
+            ({"ends": ends[:-1]}, "corrupt index header"),
+            ({"ends": [ends[0]] + ends[:-1]}, "corrupt index header"),
+            ({"doc_count": header["doc_count"] + 1}, "field lengths disagree"),
+        ):
+            save_index(tiny_index, str(path))
+            rewrite_header(path, **changes)
+            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: .*({problem})"):
+                load_index(str(path))
+
+    def test_corrupt_document_blob_is_rejected(self, tmp_path, tiny_index):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        data = bytearray(path.read_bytes())
+        data[-6:] = bytes(6)  # the stream's last bytes, its checksum among them
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt document blob"):
+            load_index(str(path))
+
+
+def rewrite_header(path, **changes):
+    """Replace keys of a saved index's JSON header; the rest of the file stays."""
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    fields.update(changes)
+    path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), rest]))
+
+
+class TestConcurrentFirstTouch:
+    def test_threads_searching_a_fresh_index_agree(self, tmp_path):
+        words = ["the", "of", "and", "zeta", "eta", "theta", "iota", "kappa"]
+        docs = [
+            Document(f"d{i:03d}", f"t{i % 5}", " ".join(words[(i * j) % 8] for j in range(1, 9)))
+            for i in range(2000)
+        ]
+        queries = ["the zeta", "zeta eta of", "theta the and", "iota kappa t1", "of of kappa"]
+        expected = [search(build_index(docs), q, 5) for q in queries]
+        path = tmp_path / "index"
+        save_index(build_index(docs), str(path))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for _ in range(20):  # each round touches every term of a fresh index
+                index = load_index(str(path))
+                start = threading.Barrier(4, timeout=30)
+                results = [None] * 4
+
+                def run(slot):
+                    start.wait()
+                    results[slot] = [search(index, q, 5) for q in queries]
+
+                threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestReadCorpus:
