@@ -4,9 +4,10 @@ and a caching wrapper, plus run-wide cost accounting and the per-claim view.
 All backends expose ``model`` and ``complete(GenRequest) -> GenResponse`` and
 are safe to share across threads.  A ``BackendSuite`` holds one backend and
 one generation policy per pipeline role.  ``BackendSuite.counted`` gives each
-claim its own view of the suite, carrying a fresh ``ClaimMemo``: every
-completion and retrieval of the claim passes through that view, which answers
-repeats and counts the requests, and their tokens, that reach a backend.
+claim its own view of the suite, carrying its gold documents and a fresh
+``ClaimMemo``: every completion and retrieval of the claim passes through that
+view, which answers repeats and counts the requests, and their tokens, that
+reach a backend.
 """
 
 from __future__ import annotations
@@ -508,10 +509,10 @@ class ClaimMemo:
     and the claim's account of the requests that reached a backend.
 
     Keys are (kind, key): a purpose and a prompt for greedy completions,
-    ``RETRIEVAL`` and (query, k, gold doc ids) for retrievals.  ``hits``
-    counts the answers given from the memo, per kind; ``calls`` and the token
-    totals count the responses backends returned, per purpose.  A memo
-    serves one claim on one thread, so it takes no lock.
+    ``RETRIEVAL`` and (query, k) for retrievals.  ``hits`` counts the answers
+    given from the memo, per kind; ``calls`` and the token totals count the
+    responses backends returned, per purpose.  A memo serves one claim on one
+    thread, so it takes no lock.
     """
 
     def __init__(self):
@@ -541,15 +542,16 @@ class ClaimMemo:
 class BackendSuite:
     """One backend per pipeline role, in fields named after the purposes, and
     one generation policy per purpose.  The per-claim view that ``counted``
-    builds also carries the claim's ``ClaimMemo``, through which it sends,
-    memoizes and counts."""
+    builds also carries the claim's gold documents and its ``ClaimMemo``,
+    through which it sends, memoizes and counts."""
 
     graph_construction: object
     infilling: object
     verification: object
     selection: object
     policies: Dict[str, GenPolicy] = field(default_factory=DEFAULT_POLICIES.copy)
-    memo: Optional[ClaimMemo] = None
+    memo: Optional[ClaimMemo] = None  # this and ``gold`` are set only by ``counted``
+    gold: tuple = ()
 
     @classmethod
     def single(cls, backend, **kwargs) -> "BackendSuite":
@@ -563,16 +565,15 @@ class BackendSuite:
     def backend_for(self, purpose: str):
         return getattr(self, purpose)
 
-    def recall_retrieval(self, fetch: Callable, index, query: str, k: int, gold_docs=None):
-        """``fetch(index, query, k, gold_docs)``, answered from the memo, if
-        this view carries one, when (query, k, gold doc ids) repeats.  Callers
-        pass their module's ``retrieve``, so a wrapper bound to that name sees
-        every retrieval the memo does not answer."""
+    def recall_retrieval(self, fetch: Callable, index, query: str, k: int):
+        """``fetch(index, query, k, gold)`` with this view's gold documents,
+        answered from the memo, if this view carries one, when (query, k)
+        repeats.  Callers pass their module's ``retrieve``, so a wrapper bound
+        to that name sees every retrieval the memo does not answer."""
         if self.memo is None:
-            return fetch(index, query, k, gold_docs)
-        gold = tuple(doc.doc_id for doc in gold_docs) if gold_docs else ()
+            return fetch(index, query, k, self.gold)
         return self.memo.recall(
-            RETRIEVAL, (query, k, gold), lambda: fetch(index, query, k, gold_docs)
+            RETRIEVAL, (query, k), lambda: fetch(index, query, k, self.gold)
         )
 
     def complete(self, purpose: str, prompt: str) -> GenResponse:
@@ -591,7 +592,8 @@ class BackendSuite:
             return send()
         return memo.recall(purpose, prompt, send)
 
-    def counted(self) -> "BackendSuite":
+    def counted(self, gold=()) -> "BackendSuite":
         """A view of this suite for one claim, with a fresh ClaimMemo that
-        answers the claim's repeats and counts what reaches a backend."""
-        return replace(self, memo=ClaimMemo())
+        answers the claim's repeats and counts what reaches a backend, and
+        the claim's ``gold`` documents, merged into each of its retrievals."""
+        return replace(self, memo=ClaimMemo(), gold=tuple(gold))

@@ -120,16 +120,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     index = load_index(config.require_path("index_path"))
     ledger = CostLedger(config.prices)
     backends, _ = build_backends(config, ledger)
-    gold_docs = None
-    if config.evidence_mode == "open_book_gold" and gold_ids:
-        gold_docs = [d for d in (index.get_document(i) for i in gold_ids) if d is not None]
     trace = run_pipeline(
         claim_text,
         index,
         backends,
         claim_id=claim_id,
         pregenerated_graph=pregenerated,
-        gold_docs=gold_docs or None,
+        gold_doc_ids=gold_ids if config.evidence_mode == "open_book_gold" else (),
         **vars(config.pipeline_options()),
     )
     print(format_trace(trace))

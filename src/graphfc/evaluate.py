@@ -6,7 +6,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .backend import BackendSuite, CostLedger
@@ -225,15 +225,7 @@ class EvalReport:
     partial: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "overall": self.overall,
-            "per_hop": self.per_hop,
-            "errors": self.errors,
-            "cost": self.cost,
-            "partial": self.partial,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def to_table(self) -> str:
         cfg = self.config
@@ -292,22 +284,12 @@ def run_eval(
         raise DataError("dataset is empty")
     opts = PipelineOptions(**options)
 
-    def resolve_gold(record: ClaimRecord):
-        if not gold_mode or not record.gold_doc_ids:
-            return None
-        docs = []
-        for doc_id in record.gold_doc_ids:
-            doc = index.get_document(doc_id)
-            if doc is not None:
-                docs.append(doc)
-        return docs or None
-
     def evaluate_one(record: ClaimRecord) -> VerdictTrace:
         try:
             return run_pipeline(
                 record.text, index, backends, claim_id=record.id,
                 pregenerated_graph=record.pregenerated_graph,
-                gold_docs=resolve_gold(record), **options,
+                gold_doc_ids=record.gold_doc_ids if gold_mode else (), **options,
             )
         except Exception as exc:  # noqa: BLE001 - errored claims are scored, not fatal
             logger.warning("claim %s failed: %s", record.id, exc)

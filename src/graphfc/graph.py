@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 LATENT_HEADER = "# Latent Entities:"
 TRIPLES_HEADER = "# Triples:"
@@ -30,7 +30,8 @@ SEP_TOKEN = "[SEP]"
 PREP_TOKEN = "[PREP]"
 DEFAULT_BLANK_TOKEN = "<extra_id_0>"
 
-_PLACEHOLDER_RE = re.compile(r"\(ENT([1-9][0-9]*)\)")
+# A placeholder in its surface form; group 1 is its index.
+PLACEHOLDER_RE = re.compile(r"\(ENT([1-9][0-9]*)\)")
 _SENTENCE_END = (".", "!", "?")
 
 
@@ -59,13 +60,12 @@ class PlaceholderId:
 # A field of a triplet: literal text interleaved with placeholders.  The
 # concatenation of all segments (placeholders in surface form) reproduces the
 # source span exactly; adjacent literals are always merged.
-Segment = Union[str, PlaceholderId]
 Segments = tuple
 
 
 def split_segments(text: str) -> Segments:
     """Split a field into literal/placeholder segments."""
-    parts = _PLACEHOLDER_RE.split(text)
+    parts = PLACEHOLDER_RE.split(text)
     segments: list = []
     for i, part in enumerate(parts):
         if i % 2 == 1:
@@ -225,10 +225,6 @@ class ClaimGraph:
     latent_defs: dict  # PlaceholderId -> Triplet, insertion-ordered
     triples: tuple  # of Triplet
     source_text: str = ""
-
-    @property
-    def placeholders(self) -> tuple:
-        return tuple(self.latent_defs.keys())
 
 
 def _error(kind: str, line: int, message: str) -> GraphDiagnostic:

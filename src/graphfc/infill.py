@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .backend import PURPOSE_INFILL, BackendSuite
 from .graph import (
     DEFAULT_BLANK_TOKEN,
+    PLACEHOLDER_RE,
     ClaimGraph,
     PlaceholderId,
     Triplet,
@@ -188,12 +188,9 @@ def extract_answer(text: str, blank_token: str) -> str:
     return answer.strip()
 
 
-_PLACEHOLDER_SURFACE_RE = re.compile(r"\(ENT[1-9][0-9]*\)")
-
-
 def _sanitize_binding(answer: str) -> str:
     """Bound strings must not contain placeholder surface forms."""
-    cleaned = _PLACEHOLDER_SURFACE_RE.sub("", answer)
+    cleaned = PLACEHOLDER_RE.sub("", answer)
     return " ".join(cleaned.split())
 
 
@@ -204,7 +201,6 @@ def infill_path(
     backends: BackendSuite,
     k: int,
     blank_token: str = DEFAULT_BLANK_TOKEN,
-    gold_docs=None,
 ) -> InfillOutcome:
     """Identify every placeholder along the path, threading bindings forward.
 
@@ -225,7 +221,7 @@ def infill_path(
             definition = graph.latent_defs[target]
             substitutions = {**_unbound_surfaces(definition, target, bindings), target: reference}
             retrieval_query = render_sentence(definition, bindings, substitutions=substitutions)
-        evidence = backends.recall_retrieval(retrieve, index, retrieval_query, k, gold_docs)
+        evidence = backends.recall_retrieval(retrieve, index, retrieval_query, k)
         infill_query = build_infill_query(graph, target, bindings, blank_token)
         prompt = build_infill_prompt(evidence.concat, infill_query)
         response = backends.complete(PURPOSE_INFILL, prompt)

@@ -229,14 +229,22 @@ class Index:
 
     def postings(self, term: str) -> Optional[Tuple[list, list, float]]:
         """``(ordinals, weights, max weight)`` of ``term`` as lists, or None
-        for a term no document holds."""
+        for a term no document holds.  Raises CorpusError, on the term's first
+        use rather than at load, if an ordinal names no document (a corrupt
+        file)."""
         entry = self._lists.get(term)
         if entry is None:
             span = self.spans.get(term)
             if span is None:
                 return None
+            ordinals = self.ordinals[span[0]:span[1]].tolist()
+            if max(ordinals) >= self.doc_count:
+                raise CorpusError(
+                    f"corrupt index: term {term!r} names document {max(ordinals)}, "
+                    f"past the last of {self.doc_count}"
+                )
             weights = self.weights[span[0]:span[1]].tolist()
-            entry = (self.ordinals[span[0]:span[1]].tolist(), weights, max(weights))
+            entry = (ordinals, weights, max(weights))
             self._lists[term] = entry
         return entry
 

@@ -203,12 +203,11 @@ def verify_triplet(
     index: Index,
     backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
-    gold_docs=None,
 ) -> TripletJudgment:
     """Render the triplet, retrieve evidence with the rendered sentence as the
     query, and verify it under the GraphCheck document-level strategy."""
     sentence = render_sentence(t, bindings)
-    bundle = backends.recall_retrieval(retrieve, index, sentence, options.k, gold_docs)
+    bundle = backends.recall_retrieval(retrieve, index, sentence, options.k)
     return _judged(
         sentence, bundle, backends, options.graphcheck_strategy, options.truncation_chars
     )
@@ -228,13 +227,12 @@ def verify_path(
     index: Index,
     backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
-    gold_docs=None,
 ) -> Tuple[Label, List[TripletJudgment]]:
     """Verify every triplet under the path's bindings, stopping at the first
     failure."""
     judgments: List[TripletJudgment] = []
     for t in path_triplets(graph, options.include_definitions):
-        judgment = verify_triplet(t, outcome.bindings, index, backends, options, gold_docs)
+        judgment = verify_triplet(t, outcome.bindings, index, backends, options)
         judgments.append(judgment)
         if judgment.label is Label.NOT_SUPPORTED:
             return Label.NOT_SUPPORTED, judgments
@@ -246,16 +244,13 @@ def verify_claim_graphcheck(
     index: Index,
     backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
-    gold_docs=None,
 ) -> Tuple[Label, List[PathRecord]]:
     """Infill and verify each identification path, returning Supported as soon
     as one path passes."""
     records: List[PathRecord] = []
     for path in enumerate_paths(graph, options.budget):
-        outcome = infill_path(
-            graph, path, index, backends, options.k, options.blank_token, gold_docs
-        )
-        label, judgments = verify_path(graph, outcome, index, backends, options, gold_docs)
+        outcome = infill_path(graph, path, index, backends, options.k, options.blank_token)
+        label, judgments = verify_path(graph, outcome, index, backends, options)
         records.append(PathRecord(outcome, tuple(judgments), label))
         if label is Label.SUPPORTED:
             return Label.SUPPORTED, records
@@ -267,10 +262,9 @@ def direct_verify(
     index: Index,
     backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
-    gold_docs=None,
 ) -> Tuple[Label, EvidenceBundle]:
     """One-shot verification of the claim against its own retrieval results."""
-    bundle = backends.recall_retrieval(retrieve, index, claim_text, options.k, gold_docs)
+    bundle = backends.recall_retrieval(retrieve, index, claim_text, options.k)
     judgment = _judged(
         claim_text, bundle, backends, options.direct_strategy, options.truncation_chars
     )
@@ -282,13 +276,12 @@ def select_strategy(
     index: Index,
     backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
-    gold_docs=None,
     evidence: Optional[EvidenceBundle] = None,
 ) -> StrategyChoice:
     """Ask whether the claim-level evidence suffices; affirmative routes to
     Direct, anything else to the full graph pipeline."""
     if evidence is None:
-        evidence = backends.recall_retrieval(retrieve, index, claim_text, options.k, gold_docs)
+        evidence = backends.recall_retrieval(retrieve, index, claim_text, options.k)
     concat = truncated_concat(evidence, options.truncation_chars)
     response = backends.complete(PURPOSE_SELECT, build_select_prompt(concat, claim_text))
     value = DIRECT if is_affirmative(response.text) else GRAPHCHECK
@@ -318,22 +311,26 @@ def run_pipeline(
     *,
     claim_id: str = "",
     pregenerated_graph: Optional[str] = None,
-    gold_docs=None,
+    gold_doc_ids=(),
     **options,
 ) -> VerdictTrace:
     """Verify one claim: retrieve once with the claim, route it, and run the
-    chosen branch.  ``options`` are the fields of ``PipelineOptions``.
+    chosen branch.  ``options`` are the fields of ``PipelineOptions``.  The
+    documents of ``gold_doc_ids`` that the index holds (unknown ids are
+    dropped) are merged into every retrieval of the claim.
 
     Only mode "dp_graphcheck" asks the selector for the route; the other modes
     fix it.  A graph that fails to parse degrades to Direct with a trace note.
     """
     opts = PipelineOptions(**options)
     started = time.monotonic()
-    # The claim's own view of the backends, with a memo that ends with it.
-    counted = backends.counted()
+    # The claim's own view of the backends: its gold documents, and a memo
+    # that ends with it.
+    gold = (index.get_document(doc_id) for doc_id in gold_doc_ids or ())
+    counted = backends.counted([doc for doc in gold if doc is not None])
     notes: List[str] = []
 
-    bundle = counted.recall_retrieval(retrieve, index, claim_text, opts.k, gold_docs)
+    bundle = counted.recall_retrieval(retrieve, index, claim_text, opts.k)
     route = DIRECT if opts.mode == "direct" else GRAPHCHECK
     selector_answer = None
     if opts.mode == "dp_graphcheck":
@@ -357,7 +354,7 @@ def run_pipeline(
         )
         final = direct_judgment.label
     else:
-        final, paths = verify_claim_graphcheck(graph, index, counted, opts, gold_docs)
+        final, paths = verify_claim_graphcheck(graph, index, counted, opts)
 
     memo = counted.memo
     return VerdictTrace(

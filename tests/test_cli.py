@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from graphfc import cli
 from graphfc.evaluate import macro_f1
 
 from clifixtures import build_eval_fixture, make_claims
+from test_retrieval import set_ordinal_top_bytes
 
 
 # Each override flag of ``eval``: its argument, a valid value and the value
@@ -85,6 +87,12 @@ class TestIndexCommand:
         assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
         assert capsys.readouterr().err == f"data error: {fixture['index']}: index file is truncated\n"
 
+    def test_corrupt_ordinals_are_data_error(self, fixture, capsys):
+        set_ordinal_top_bytes(Path(fixture["index"]))
+        code = cli.main(["verify", "--config", fixture["config"], "--claim-id", "dir00"])
+        assert code == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith("data error: corrupt index: term ")
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["index", "--k", "not-a-number"])
@@ -117,6 +125,18 @@ class TestVerifyCommand:
         row = json.loads(open(trace_out).read())
         assert row["claim_id"] == "gph02"
         assert row["final"] == "Supported"
+
+    def test_gold_mode_puts_gold_document_first(self, fixture, tmp_path):
+        trace_out = str(tmp_path / "trace.json")
+        assert cli.main([
+            "verify", "--config", fixture["config"], "--evidence-mode", "open_book_gold",
+            "--claim-id", "gph02", "--trace-out", trace_out,
+        ]) == 0
+        row = json.loads(open(trace_out).read())
+        gold = {"id": "doc-gph02", "score": "gold"}
+        assert row["direct_evidence"][0] == gold
+        steps = [step for path in row["paths"] for step in path["per_entity"]]
+        assert steps and all(step["evidence"][0] == gold for step in steps)
 
     def test_direct_claim_has_no_paths(self, fixture, capsys):
         code = cli.main(["verify", "--config", fixture["config"], "--claim-id", "dir00"])

@@ -522,6 +522,16 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt document blob"):
             load_index(str(path))
 
+    def test_out_of_range_ordinal_is_rejected_on_first_use(self, tmp_path, tiny_index):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        set_ordinal_top_bytes(path)
+        loaded = load_index(str(path))  # ordinals are checked per term, on first use
+        with pytest.raises(CorpusError, match="corrupt index: term 'x' names document"):
+            search(loaded, "x", k=3)
+        with pytest.raises(CorpusError, match="corrupt index: term 'x'"):
+            loaded.postings("x")  # a failed first use caches nothing
+
 
 def rewrite_header(path, **changes):
     """Replace keys of a saved index's JSON header; the rest of the file stays."""
@@ -529,6 +539,16 @@ def rewrite_header(path, **changes):
     fields = json.loads(header)
     fields.update(changes)
     path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), rest]))
+
+
+def set_ordinal_top_bytes(path, value: int = 0xFF):
+    """Set the most significant byte of every posting ordinal in a saved
+    index to ``value``; the header, the weights and the documents stay."""
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    postings = json.loads(header)["ends"][-1]
+    rest = bytearray(rest)
+    rest[3:4 * postings:4] = bytes([value]) * postings  # uint32, little-endian
+    path.write_bytes(b"\n".join([magic, header, bytes(rest)]))
 
 
 class TestConcurrentFirstTouch:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfc import infill, verdict
 from graphfc.backend import BackendSuite, ScriptedBackend
 from graphfc.graph import PlaceholderId, parse_graph, parse_triplet_line
 from graphfc.infill import Path, PathBudget, infill_path
-from graphfc.retrieval import Document, build_index
+from graphfc.retrieval import GOLD_SCORE, Document, build_index, retrieve
 from graphfc.verdict import (
     DIRECT,
     GRAPHCHECK,
@@ -495,6 +496,55 @@ class TestRunPipeline:
     def test_unknown_mode_rejected(self, band_index):
         with pytest.raises(ValueError):
             run_pipeline(BAND_CLAIM, band_index, band_suite(), mode="hybrid")
+
+
+class TestGoldBinding:
+    """``run_pipeline`` resolves ``gold_doc_ids`` once and merges the gold
+    documents into every retrieval of the claim."""
+
+    @staticmethod
+    def run(band_index, gold_doc_ids):
+        return run_pipeline(
+            BAND_CLAIM, band_index, band_suite(), mode="graphcheck",
+            pregenerated_graph=MUSICIAN_GRAPH, k=2, gold_doc_ids=gold_doc_ids,
+        )
+
+    @staticmethod
+    def traced_bundles(trace):
+        """The claim's evidence, then every infilling step's."""
+        steps = [step for record in trace.paths for step in record.outcome.per_entity]
+        return [trace.direct_evidence] + [step.evidence for step in steps]
+
+    def test_gold_document_leads_every_retrieval(self, band_index, monkeypatch):
+        fetched = {}  # query -> bundle, for each retrieval the memo did not answer
+
+        def recording(index, query, k, gold):
+            fetched[query] = retrieve(index, query, k, gold)
+            return fetched[query]
+
+        monkeypatch.setattr(verdict, "retrieve", recording)
+        monkeypatch.setattr(infill, "retrieve", recording)
+        trace = self.run(band_index, ["issaquah"])
+        assert len(trace.paths) == 2
+        bundles = self.traced_bundles(trace)
+        assert len(bundles) == 5  # the claim, then two steps on each path
+        assert "Modest Mouse formed in Issaquah, Washington." in fetched  # a triplet's
+        gold = (band_index.get_document("issaquah"), GOLD_SCORE)
+        for bundle in bundles + list(fetched.values()):
+            assert bundle.docs[0] == gold
+
+    def test_unknown_ids_are_dropped(self, band_index):
+        trace = self.run(band_index, ["no-such-doc", "issaquah"])
+        for bundle in self.traced_bundles(trace):
+            assert [score for _, score in bundle.docs].count(GOLD_SCORE) == 1
+            assert bundle.docs[0][0].doc_id == "issaquah"
+
+    def test_only_unknown_ids_merge_nothing(self, band_index):
+        unknown = self.run(band_index, ["no-such-doc"])
+        for bundle in self.traced_bundles(unknown):
+            assert GOLD_SCORE not in [score for _, score in bundle.docs]
+        no_gold = self.run(band_index, ())
+        assert trace_to_dict(unknown) | {"timings": {}} == trace_to_dict(no_gold) | {"timings": {}}
 
 
 class TestDominance:
