@@ -19,7 +19,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import requests
 
@@ -273,22 +273,8 @@ class HttpBackend:
 
 Matcher = Union[str, Callable[[str], bool]]
 Response = Union[str, Callable[[str], str]]
-
-
-@dataclass
-class _Registration:
-    matcher: Matcher
-    response: Response
-
-    def matches(self, prompt: str) -> bool:
-        if callable(self.matcher):
-            return bool(self.matcher(prompt))
-        return prompt == self.matcher
-
-    def answer(self, prompt: str) -> str:
-        if callable(self.response):
-            return self.response(prompt)
-        return self.response
+# A registration as ScriptedBackend stores it: (predicate, answer) on the prompt.
+Registration = Tuple[Callable[[str], bool], Callable[[str], str]]
 
 
 class ScriptedBackend:
@@ -303,13 +289,17 @@ class ScriptedBackend:
     def __init__(self, model: str = "scripted", ledger: Optional[CostLedger] = None):
         self.model = model
         self.ledger = ledger
-        self._registrations: List[_Registration] = []
+        self._registrations: List[Registration] = []
         self._lock = threading.Lock()
         self._seen: Dict[tuple, int] = {}
         self.calls: List[GenRequest] = []
 
     def register(self, matcher: Matcher, response: Response) -> "ScriptedBackend":
-        self._registrations.append(_Registration(matcher, response))
+        if not callable(matcher):
+            matcher = lambda p, m=matcher: p == m
+        if not callable(response):
+            response = lambda p, r=response: r
+        self._registrations.append((matcher, response))
         return self
 
     def register_contains(self, *needles: str, response: Response) -> "ScriptedBackend":
@@ -325,7 +315,9 @@ class ScriptedBackend:
 
     def complete(self, req: GenRequest) -> GenResponse:
         matched = [
-            (i, r) for i, r in enumerate(self._registrations) if r.matches(req.prompt)
+            (i, answer)
+            for i, (matches, answer) in enumerate(self._registrations)
+            if matches(req.prompt)
         ]
         with self._lock:
             self.calls.append(req)
@@ -336,16 +328,15 @@ class ScriptedBackend:
             key = tuple(i for i, _ in matched)
             turn = self._seen.get(key, 0)
             self._seen[key] = turn + 1
-        registration = matched[min(turn, len(matched) - 1)][1]
-        text = registration.answer(req.prompt)
+        text = matched[min(turn, len(matched) - 1)][1](req.prompt)
         result = GenResponse(text, approx_token_count(req.prompt), approx_token_count(text))
         if self.ledger is not None:
             self.ledger.record(req.purpose, self.model, result)
         return result
 
 
-def load_script(path: str) -> List[_Registration]:
-    """Load scripted registrations from a JSON file.
+def load_script(path: str) -> List[Registration]:
+    """Load scripted (predicate, answer) registrations from a JSON file.
 
     The file holds a list of objects with a ``response`` string plus matcher
     keys: ``equals``, ``prefix``, ``suffix``, and/or ``contains`` (string or
@@ -371,7 +362,7 @@ def load_script(path: str) -> List[_Registration]:
         if not conditions:
             raise ValueError("script entry has no matcher key")
         matcher = lambda p, cs=tuple(conditions): all(c(p) for c in cs)
-        registrations.append(_Registration(matcher, entry["response"]))
+        registrations.append((matcher, lambda p, r=entry["response"]: r))
     return registrations
 
 

@@ -1,7 +1,8 @@
 """Command-line interface: index, verify, eval, trace.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 backend failure,
-4 errored-claim threshold exceeded, 5 internal error.
+4 errored-claim threshold exceeded, 5 internal error.  An interrupt during
+``eval`` writes a report marked partial, or none if no claim has finished.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .backend import BackendSuite, CostLedger
-from .retrieval import EvidenceBundle, Index
+from .retrieval import CorpusError, EvidenceBundle, Index
 from .verdict import (
     DIRECT,
     GRAPHCHECK,
@@ -277,8 +277,10 @@ def run_eval(
 
     Per-claim failures are recorded (the claim scores NotSupported, flagged in
     its trace); once errored claims exceed ``abort_error_fraction`` of the
-    dataset the whole run aborts with AbortThresholdError.  A KeyboardInterrupt
-    drains the pool and returns a report marked partial.
+    dataset the whole run aborts with AbortThresholdError.  A CorpusError is
+    not a per-claim failure: the index is at fault, so it ends the run.  A
+    KeyboardInterrupt drains the pool and returns a report marked partial; if
+    no claim has finished there is nothing to report, and it propagates.
     """
     if not records:
         raise DataError("dataset is empty")
@@ -291,6 +293,8 @@ def run_eval(
                 pregenerated_graph=record.pregenerated_graph,
                 gold_doc_ids=record.gold_doc_ids if gold_mode else (), **options,
             )
+        except CorpusError:
+            raise
         except Exception as exc:  # noqa: BLE001 - errored claims are scored, not fatal
             logger.warning("claim %s failed: %s", record.id, exc)
             fallback = DIRECT if opts.mode == "direct" else GRAPHCHECK
@@ -323,6 +327,8 @@ def run_eval(
                             f"(> {abort_error_fraction:.0%} threshold)"
                         )
         except KeyboardInterrupt:
+            if not rows:
+                raise
             partial = True
             logger.warning("interrupted; draining workers and emitting partial report")
     finally:

@@ -28,7 +28,6 @@ LATENT_HEADER = "# Latent Entities:"
 TRIPLES_HEADER = "# Triples:"
 SEP_TOKEN = "[SEP]"
 PREP_TOKEN = "[PREP]"
-DEFAULT_BLANK_TOKEN = "<extra_id_0>"
 
 # A placeholder in its surface form; group 1 is its index.
 PLACEHOLDER_RE = re.compile(r"\(ENT([1-9][0-9]*)\)")
@@ -36,7 +35,7 @@ _SENTENCE_END = (".", "!", "?")
 
 
 class UnboundPlaceholderError(ValueError):
-    """Raised when rendering hits a placeholder with no binding or blank."""
+    """Raised when rendering hits a placeholder with no value."""
 
 
 @dataclass(frozen=True, order=True)
@@ -80,38 +79,19 @@ def segments_surface(segments: Segments) -> str:
     return "".join(s.surface if isinstance(s, PlaceholderId) else s for s in segments)
 
 
-def segments_placeholders(segments: Segments) -> set:
-    return {s for s in segments if isinstance(s, PlaceholderId)}
-
-
 def render_segments(
-    segments: Segments,
-    bindings: Optional[Mapping[PlaceholderId, str]] = None,
-    blank: Optional[PlaceholderId] = None,
-    blank_token: str = DEFAULT_BLANK_TOKEN,
-    substitutions: Optional[Mapping[PlaceholderId, str]] = None,
-    lenient: bool = False,
+    segments: Segments, values: Optional[Mapping[PlaceholderId, str]] = None
 ) -> str:
-    """Render segments to text.
+    """Render segments to text, each placeholder as its entry in ``values``.
 
-    Placeholders resolve, in order of precedence, against ``bindings``, the
-    ``blank`` placeholder (rendered as ``blank_token``), then
-    ``substitutions``.  An unresolved placeholder raises
-    UnboundPlaceholderError unless ``lenient``, in which case it renders in
-    surface form.
+    A placeholder without an entry raises UnboundPlaceholderError.
     """
     parts = []
     for seg in segments:
         if not isinstance(seg, PlaceholderId):
             parts.append(seg)
-        elif bindings is not None and seg in bindings:
-            parts.append(bindings[seg])
-        elif blank is not None and seg == blank:
-            parts.append(blank_token)
-        elif substitutions is not None and seg in substitutions:
-            parts.append(substitutions[seg])
-        elif lenient:
-            parts.append(seg.surface)
+        elif values is not None and seg in values:
+            parts.append(values[seg])
         else:
             raise UnboundPlaceholderError(f"unbound placeholder {seg.surface}")
     return "".join(parts)
@@ -174,31 +154,20 @@ def triplet_to_line(t: Triplet) -> str:
 
 def placeholders_of(t: Triplet) -> set:
     """All placeholders occurring in subject, relation, object, and prep."""
-    found: set = set()
-    for segments in t.fields:
-        found |= segments_placeholders(segments)
-    return found
+    return {s for segments in t.fields for s in segments if isinstance(s, PlaceholderId)}
 
 
 def render_sentence(
-    t: Triplet,
-    bindings: Optional[Mapping[PlaceholderId, str]] = None,
-    blank: Optional[PlaceholderId] = None,
-    blank_token: str = DEFAULT_BLANK_TOKEN,
-    substitutions: Optional[Mapping[PlaceholderId, str]] = None,
+    t: Triplet, values: Optional[Mapping[PlaceholderId, str]] = None
 ) -> str:
     """Render a triplet as a natural-language sentence.
 
     Fields are joined by single spaces (prep appended last) and a terminal
-    period is added unless the text already ends in '.', '!' or '?'.  Every
-    placeholder must resolve via ``bindings``, ``blank`` (rendered as
-    ``blank_token``) or ``substitutions``; otherwise UnboundPlaceholderError.
+    period is added unless the text already ends in '.', '!' or '?'.  Each
+    placeholder renders as its entry in ``values``; a placeholder without one
+    raises UnboundPlaceholderError.
     """
-    rendered = [
-        render_segments(segments, bindings, blank, blank_token, substitutions)
-        for segments in t.fields
-    ]
-    sentence = " ".join(rendered)
+    sentence = " ".join(render_segments(segments, values) for segments in t.fields)
     if not sentence.endswith(_SENTENCE_END):
         sentence += "."
     return sentence

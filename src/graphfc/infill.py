@@ -16,7 +16,6 @@ from typing import Dict, List, Tuple
 
 from .backend import PURPOSE_INFILL, BackendSuite
 from .graph import (
-    DEFAULT_BLANK_TOKEN,
     PLACEHOLDER_RE,
     ClaimGraph,
     PlaceholderId,
@@ -27,6 +26,8 @@ from .graph import (
 )
 from .prompts import build_infill_prompt
 from .retrieval import EvidenceBundle, Index, retrieve
+
+DEFAULT_BLANK_TOKEN = "<extra_id_0>"
 
 # Above this many latent entities the permutation space is not materialized;
 # sampling switches to rejection.
@@ -108,27 +109,21 @@ def enumerate_paths(graph: ClaimGraph, budget: PathBudget) -> List[Path]:
 
 def _qualifying(triples, target: PlaceholderId, bound) -> List[Triplet]:
     """Triplets mentioning the target and no other unbound placeholder."""
+    allowed = {target, *bound}
     selected = []
     for t in triples:
         mentioned = placeholders_of(t)
-        if target not in mentioned:
-            continue
-        if any(p != target and p not in bound for p in mentioned):
-            continue
-        selected.append(t)
+        if target in mentioned and mentioned <= allowed:
+            selected.append(t)
     return selected
 
 
-def _unbound_surfaces(
-    definition: Triplet, target: PlaceholderId, bindings: Dict[PlaceholderId, str]
+def _values(
+    t: Triplet, target: PlaceholderId, value: str, bindings: Dict[PlaceholderId, str]
 ) -> Dict[PlaceholderId, str]:
-    """Each placeholder of ``definition`` other than the target that is still
-    unbound, mapped to its surface form."""
-    return {
-        p: p.surface
-        for p in placeholders_of(definition)
-        if p != target and p not in bindings
-    }
+    """What each placeholder of ``t`` renders as: its binding, else ``value``
+    for the target, else its surface form."""
+    return {**{p: p.surface for p in placeholders_of(t)}, target: value, **bindings}
 
 
 def reference_text(
@@ -136,7 +131,9 @@ def reference_text(
 ) -> str:
     """The target's definitional reference (e.g. "a musician"), with any bound
     placeholder inside it resolved."""
-    return render_segments(graph.latent_defs[target].object, bindings, lenient=True)
+    definition = graph.latent_defs[target]
+    values = _values(definition, target, target.surface, bindings)
+    return render_segments(definition.object, values)
 
 
 def build_retrieval_query(
@@ -149,11 +146,10 @@ def build_retrieval_query(
     unidentified placeholders.
     """
     reference = reference_text(graph, target, bindings)
-    sentences = [
-        render_sentence(t, bindings, substitutions={target: reference})
+    return " ".join(
+        render_sentence(t, _values(t, target, reference, bindings))
         for t in _qualifying(graph.triples, target, bindings)
-    ]
-    return " ".join(sentences)
+    )
 
 
 def build_infill_query(
@@ -163,21 +159,15 @@ def build_infill_query(
     blank_token: str = DEFAULT_BLANK_TOKEN,
 ) -> str:
     """Concatenate the qualifying fact triplets, then the target's own
-    definitional triplet last, with the target rendered as ``blank_token``."""
-    sentences = [
-        render_sentence(t, bindings, blank=target, blank_token=blank_token)
-        for t in _qualifying(graph.triples, target, bindings)
-    ]
-    definition = graph.latent_defs[target]
-    # The definitional sentence is appended unconditionally; any other
-    # still-unbound placeholder inside it renders in surface form.
-    sentences.append(
-        render_sentence(
-            definition, bindings, blank=target, blank_token=blank_token,
-            substitutions=_unbound_surfaces(definition, target, bindings),
-        )
+    definitional triplet last, with the target rendered as ``blank_token``.
+
+    The definitional sentence is appended unconditionally; any other
+    still-unbound placeholder inside it renders in surface form.
+    """
+    triplets = _qualifying(graph.triples, target, bindings) + [graph.latent_defs[target]]
+    return " ".join(
+        render_sentence(t, _values(t, target, blank_token, bindings)) for t in triplets
     )
-    return " ".join(sentences)
 
 
 def extract_answer(text: str, blank_token: str) -> str:
@@ -219,8 +209,9 @@ def infill_path(
         if not retrieval_query:
             # Isolated target: fall back to its definitional sentence.
             definition = graph.latent_defs[target]
-            substitutions = {**_unbound_surfaces(definition, target, bindings), target: reference}
-            retrieval_query = render_sentence(definition, bindings, substitutions=substitutions)
+            retrieval_query = render_sentence(
+                definition, _values(definition, target, reference, bindings)
+            )
         evidence = backends.recall_retrieval(retrieve, index, retrieval_query, k)
         infill_query = build_infill_query(graph, target, bindings, blank_token)
         prompt = build_infill_prompt(evidence.concat, infill_query)

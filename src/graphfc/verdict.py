@@ -16,14 +16,14 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .backend import PURPOSE_GRAPH, PURPOSE_SELECT, PURPOSE_VERIFY, BackendSuite
-from .graph import (
+from .graph import ClaimGraph, Triplet, parse_graph, render_sentence
+from .infill import (
     DEFAULT_BLANK_TOKEN,
-    ClaimGraph,
-    Triplet,
-    parse_graph,
-    render_sentence,
+    InfillOutcome,
+    PathBudget,
+    enumerate_paths,
+    infill_path,
 )
-from .infill import InfillOutcome, PathBudget, enumerate_paths, infill_path
 from .prompts import build_graph_prompt, build_select_prompt, build_verify_prompt
 from .retrieval import CONCAT_SEPARATOR, EvidenceBundle, Index, retrieve
 

@@ -11,8 +11,15 @@ from graphfc.graph import parse_graph
 from graphfc.retrieval import Document, build_index
 
 # ``pytest --hypothesis-profile=ci`` runs five times Hypothesis' default
-# number of examples; tests that set their own count scale it to match.
+# number of examples; tests that set their own count scale it to match
+# through ``examples``.
 settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
+
+
+def examples(n):
+    """``n`` Hypothesis examples, five times as many under the ``ci`` profile."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
+
 
 MUSICIAN_GRAPH = (
     "# Latent Entities:\n"

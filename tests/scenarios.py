@@ -99,7 +99,7 @@ def make_scenario(seed: int) -> Scenario:
     docs = []
     for i, line in enumerate(def_lines + triple_lines):
         t = parse_triplet_line(line)
-        surface = render_sentence(t, substitutions={
+        surface = render_sentence(t, {
             p: ref for p, ref in zip(graph.latent_defs, refs)
         })
         docs.append(Document(f"s{i}", f"Note {i}", surface))

@@ -93,6 +93,11 @@ class TestIndexCommand:
         assert code == cli.EXIT_DATA == 2
         assert capsys.readouterr().err.startswith("data error: corrupt index: term ")
 
+    def test_corrupt_ordinals_fail_eval_as_data_error(self, fixture, capsys):
+        set_ordinal_top_bytes(Path(fixture["index"]))
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith("data error: corrupt index: term ")
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["index", "--k", "not-a-number"])

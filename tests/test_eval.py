@@ -323,3 +323,17 @@ class TestRunEval:
         assert report.partial
         assert len(traces) == 1  # only the claim finished before the interrupt
         assert "partial report" in report.to_table()
+
+    def test_interrupt_before_any_claim_finishes_propagates(self):
+        index = build_index(eval_corpus())
+        verification = ScriptedBackend()
+
+        def interrupt(prompt):
+            raise KeyboardInterrupt
+
+        verification.register(lambda p: True, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_eval(
+                four_claim_records(), index, BackendSuite.single(verification),
+                mode="direct", k=2,
+            )

@@ -20,7 +20,7 @@ from graphfc.graph import (
 )
 from graphfc.prompts import FEW_SHOT_EXAMPLES
 
-from conftest import MUSICIAN_GRAPH
+from conftest import MUSICIAN_GRAPH, examples
 
 E1, E2 = PlaceholderId(1), PlaceholderId(2)
 
@@ -202,12 +202,12 @@ class TestPlaceholdersOf:
 class TestRenderSentence:
     def test_bound_and_blank(self):
         t = parse_triplet_line("(ENT1) [SEP] is a percussionist for [SEP] (ENT2)")
-        out = render_sentence(t, {E1: "Randall Nieman"}, blank=E2)
+        out = render_sentence(t, {E1: "Randall Nieman", E2: "<extra_id_0>"})
         assert out == "Randall Nieman is a percussionist for <extra_id_0>."
 
     def test_blank_subject(self):
         t = parse_triplet_line("(ENT2) [SEP] formed in [SEP] Issaquah, Washington")
-        assert render_sentence(t, {}, blank=E2) == "<extra_id_0> formed in Issaquah, Washington."
+        assert render_sentence(t, {E2: "<extra_id_0>"}) == "<extra_id_0> formed in Issaquah, Washington."
 
     def test_plain_join_with_period(self):
         t = parse_triplet_line(
@@ -230,7 +230,7 @@ class TestRenderSentence:
 
     def test_custom_blank_token(self):
         t = parse_triplet_line("(ENT1) [SEP] visited [SEP] Oslo")
-        assert render_sentence(t, blank=E1, blank_token="[MASK]") == "[MASK] visited Oslo."
+        assert render_sentence(t, {E1: "[MASK]"}) == "[MASK] visited Oslo."
 
 
 class TestRoundTrip:
@@ -290,14 +290,14 @@ def graph_texts(draw):
 
 class TestProperties:
     @given(st.text(max_size=300))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_parse_is_total_and_exclusive(self, text):
         graph, diagnostics = parse_graph(text)
         has_error = any(d.severity == "error" for d in diagnostics)
         assert (graph is None) == has_error
 
     @given(graph_texts())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_generated_graphs_round_trip(self, text):
         graph = must_parse(text)
         assert serialize_graph(graph).strip() == text.strip()
@@ -305,14 +305,14 @@ class TestProperties:
             assert placeholders_of(t) <= set(graph.latent_defs)
 
     @given(graph_texts())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_parse_is_deterministic(self, text):
         first = parse_graph(text)
         second = parse_graph(text)
         assert first == second
 
     @given(field_text(False), field_text(False), field_text(False))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_render_is_identity_join_without_placeholders(self, a, b, c):
         t = Triplet(split_segments(a), split_segments(b), split_segments(c))
         rendered = render_sentence(t)

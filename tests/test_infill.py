@@ -30,6 +30,7 @@ from conftest import (
     IQ_ENT2_AFTER_WRONG,
     IQ_ENT2_FIRST,
     band_suite,
+    examples,
 )
 
 E1, E2, E3, E4 = (PlaceholderId(i) for i in range(1, 5))
@@ -92,7 +93,7 @@ class TestEnumeratePaths:
 
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=10),
            st.integers(min_value=0, max_value=999))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_min_factorial_limit_distinct_permutations(self, n, limit, seed):
         import math
 
@@ -277,7 +278,7 @@ def random_graphs(draw):
 
 class TestQueryProperties:
     @given(random_graphs(), st.integers(min_value=1, max_value=3), st.booleans())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_unbound_others_are_excluded(self, graph, target_index, bind_one):
         keys = sorted(graph.latent_defs)
         target = keys[(target_index - 1) % len(keys)]
@@ -298,7 +299,7 @@ class TestQueryProperties:
         assert infill.endswith(definition)
 
     @given(random_graphs())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_bindings_cover_path(self, graph):
         from graphfc.retrieval import Document, build_index
 

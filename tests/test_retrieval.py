@@ -37,11 +37,7 @@ from graphfc.retrieval import (
     tokenize,
 )
 
-
-def examples(n):
-    """``n`` Hypothesis examples, five times as many under the ``ci`` profile
-    (registered in conftest.py)."""
-    return n * settings.default.max_examples // settings.get_profile("default").max_examples
+from conftest import examples
 
 
 # Index text is "title + ' ' + text":
