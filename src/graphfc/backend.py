@@ -37,6 +37,10 @@ PURPOSES = (PURPOSE_GRAPH, PURPOSE_INFILL, PURPOSE_VERIFY, PURPOSE_SELECT)
 RETRIEVAL = "retrieval"
 
 
+class CacheFileError(ValueError):
+    """Raised for a response-cache file line that is JSON but not an entry."""
+
+
 class BackendError(RuntimeError):
     """A generation call failed after exhausting retries."""
 
@@ -377,7 +381,9 @@ class ResponseCache:
     """Append-safe on-disk key/value store for GenResponse values.
 
     Entries are single JSON lines, so concurrent readers can follow a single
-    writer; a partial trailing line (in-flight write) is ignored on load.
+    writer; a partial trailing line (in-flight write) is ignored on load.  A
+    line that is JSON but not an object with string ``key`` and ``text`` and
+    integer token counts raises CacheFileError naming the file and the line.
     With ``path=None`` the cache is memory-only.
     """
 
@@ -396,7 +402,7 @@ class ResponseCache:
         except FileNotFoundError:
             return
         with handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -404,6 +410,15 @@ class ResponseCache:
                     row = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # partial trailing write
+                if not (
+                    isinstance(row, dict)
+                    and all(type(row.get(name)) is str for name in ("key", "text"))
+                    and all(type(row.get(name)) is int for name in ("input_tokens", "output_tokens"))
+                ):
+                    raise CacheFileError(
+                        f"{path}:{lineno}: not a cache entry (an object with string "
+                        f"'key' and 'text' and integer 'input_tokens' and 'output_tokens')"
+                    )
                 self._entries[row["key"]] = GenResponse(
                     row["text"], row["input_tokens"], row["output_tokens"]
                 )

@@ -15,7 +15,7 @@ import signal
 import sys
 from typing import List, Optional
 
-from .backend import BackendError, CostLedger
+from .backend import BackendError, CacheFileError, CostLedger
 from .config import (
     EVIDENCE_MODES,
     SCALAR_FIELDS,
@@ -255,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CorpusError, FileNotFoundError) as exc:
+    except (DataError, CorpusError, CacheFileError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except AbortThresholdError as exc:

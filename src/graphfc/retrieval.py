@@ -4,22 +4,25 @@ The index is built in one pass and immutable afterwards, apart from caches
 that are safe to fill concurrently, so concurrent searches are safe.  Scoring
 is classic Okapi BM25 with the +1-smoothed natural-log IDF.  Every posting's
 query-independent BM25 weight is computed once, when the index is built, and
-stored in the index file (format v3), so loading an index computes nothing
-per posting.  Search is exact top-k with MaxScore pruning (Turtle & Flood,
-1995): each term's largest weight bounds what it can add to a score, so once
-the terms left cannot lift a new document into the top k, their long posting
-lists (the stopwords') are not walked, and the few documents still in
-contention are rescored exactly.
+stored in the index file (format v4), so loading an index computes nothing
+per posting.  Each term's postings are stored in impact order, largest weight
+first (Anh & Moffat, 2006), so the unwalked rest of a list is bounded by its
+next weight.  Search is exact top-k with an early stop in the manner of the
+threshold algorithm (Fagin, Lotem & Naor, 2003): it walks the lists a chunk
+at a time, rescores the documents still in contention exactly, and stops
+once the k-th best exact score beats everything the unwalked postings could
+add, so the tails of long lists (the stopwords') are not walked.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import heapq
 import itertools
 import json
 import math
+import operator
+import os
 import re
 import sys
 import zlib
@@ -36,13 +39,12 @@ GOLD_SCORE = float("inf")
 # n positive weights is within n ulps of any reordering of it, so 1e-9 covers
 # queries of millions of terms and is far below the score gaps that matter.
 _PRUNE_SLACK = 1.0 + 1e-9
-# One bisect lookup of a document in a posting list costs about as much as
-# accumulating this many postings (measured in CPython 3.11 at 20k documents).
-_LOOKUP_COST = 6
-_SAMPLE_STEP = 16
+# Postings in a term's first chunk in ``search``; each later chunk of the
+# same term is twice the size of the one before.
+_FIRST_CHUNK = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
 # zlib level of the document blob: at 20k documents, level 6 makes it 18%
@@ -198,8 +200,9 @@ class Index:
 
     ``spans`` maps each term to its ``(start, end)`` slice of the flat
     ``ordinals`` (uint32) and ``weights`` (float64) arrays: the documents
-    holding the term, in ascending ordinal order, and the term's
-    query-independent BM25 weight in each.  ``end - start`` is the term's
+    holding the term and the term's query-independent BM25 weight in each,
+    in impact order (descending weight, ties by ascending ordinal), so a
+    term's first weight is its largest.  ``end - start`` is the term's
     document frequency.  build_index computes the weights with the operations
     of ``bm25_term_score`` in the same order, so a search only adds them up
     and its scores are bit-identical to summing ``bm25_term_score`` per
@@ -207,10 +210,11 @@ class Index:
     build time.
 
     The index is immutable after construction apart from two caches: the
-    lists ``postings`` builds for a term the first time the term is used, and
-    the documents ``documents`` builds when first read.  Filling them is
-    idempotent: two threads touching a term or a document at once build equal
-    values and either may keep its own, so concurrent searches are safe.
+    ordinal -> weight dicts ``postings`` builds for a term the first time the
+    term is used, and the documents ``documents`` builds when first read.
+    Filling them is idempotent: two threads touching a term or a document at
+    once build equal values and either may keep its own, so concurrent
+    searches are safe.
     """
 
     def __init__(self, documents: DocumentTable, spans, ordinals, weights, k1, b, avg_doc_length):
@@ -225,27 +229,25 @@ class Index:
         self.doc_count = len(self.documents)
         self.avg_doc_length = avg_doc_length
         self._by_id = dict(zip(documents.ids, range(self.doc_count)))  # doc_id -> ordinal
-        self._lists: dict = {}  # term -> (ordinals, weights, max weight)
+        self._postings: dict = {}  # term -> {ordinal: weight}
 
-    def postings(self, term: str) -> Optional[Tuple[list, list, float]]:
-        """``(ordinals, weights, max weight)`` of ``term`` as lists, or None
-        for a term no document holds.  Raises CorpusError, on the term's first
-        use rather than at load, if an ordinal names no document (a corrupt
-        file)."""
-        entry = self._lists.get(term)
+    def postings(self, term: str) -> Optional[dict]:
+        """``term``'s weight in each document holding it, as an ordinal ->
+        weight dict in impact order, or None for a term no document holds.
+        Raises CorpusError, on the term's first use rather than at load, if
+        an ordinal names no document (a corrupt file)."""
+        entry = self._postings.get(term)
         if entry is None:
             span = self.spans.get(term)
             if span is None:
                 return None
-            ordinals = self.ordinals[span[0]:span[1]].tolist()
+            ordinals = self.ordinals[span[0]:span[1]]
             if max(ordinals) >= self.doc_count:
                 raise CorpusError(
                     f"corrupt index: term {term!r} names document {max(ordinals)}, "
                     f"past the last of {self.doc_count}"
                 )
-            weights = self.weights[span[0]:span[1]].tolist()
-            entry = (ordinals, weights, max(weights))
-            self._lists[term] = entry
+            entry = self._postings[term] = dict(zip(ordinals, self.weights[span[0]:span[1]]))
         return entry
 
     def get_document(self, doc_id: str) -> Optional[Document]:
@@ -296,89 +298,89 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
         if idf is None:
             idf = idfs[len(term_ordinals)] = bm25_idf(len(documents), len(term_ordinals))
         spans[term] = (len(ordinals), len(ordinals) + len(term_ordinals))
-        ordinals.extend(term_ordinals)
-        weights.extend([idf * tf * scale / (tf + norms[o]) for o, tf in zip(term_ordinals, tfs)])
+        # Impact order: a stable sort keeps equal weights in ascending ordinal order.
+        ranked = sorted(
+            zip([idf * tf * scale / (tf + norms[o]) for o, tf in zip(term_ordinals, tfs)], term_ordinals),
+            key=operator.itemgetter(0), reverse=True,
+        )
+        weights.extend([weight for weight, _ in ranked])
+        ordinals.extend([ordinal for _, ordinal in ranked])
     return Index(DocumentTable.of(documents), spans, ordinals, weights, k1, b, avg_doc_length)
 
 
 def search(index: Index, query: str, k: int) -> EvidenceBundle:
-    """Exact top-k Okapi BM25 search with MaxScore pruning.
+    """Exact top-k Okapi BM25 search that stops before the tails of long
+    posting lists.
 
     Only documents containing at least one query term are scored; duplicate
     query terms contribute once per occurrence.  Results are ordered by score
     descending with ties broken by ascending doc_id.  An empty query yields an
     empty bundle.
 
-    The distinct query terms are accumulated term at a time in descending
-    upper bound, a term's multiplicity times its largest weight.  A partial
-    score never exceeds its document's score, so the k-th best partial score
-    is at most the k-th best score.  Once the bounds of the terms not yet
-    accumulated sum to less than it, a document not yet seen cannot reach the
-    top k, not even in a tie, and neither can an accumulated document whose
-    partial score plus those bounds falls below it.  From then on the search
-    stops walking posting lists as soon as rescoring those survivors costs
-    less than walking the rest.  The survivors are rescored exactly, term by
-    term in query order by bisecting the posting lists, so every returned
-    score is bit-identical to summing ``bm25_term_score`` per posting, and
-    ranked exactly.  Both comparisons carry the relative margin
-    ``_PRUNE_SLACK``: partial sums add in another order than the exact ones,
-    so a near tie may swap sides by rounding, and the margin keeps both sides.
-    A query whose terms have similar bounds, such as stopwords only, prunes
-    little and costs about what summing every posting does.
+    A term's postings are in impact order, so what its unwalked postings can
+    add to a score is bounded by its multiplicity times its next weight.  The
+    search walks one chunk of postings at a time (``_FIRST_CHUNK``, then
+    twice the size of the term's previous chunk) from the term whose unwalked
+    postings have the largest bound, and sums each document's partial score.
+    A walked document whose partial score plus the unwalked bounds could
+    still reach the k-th best exact score found so far is rescored exactly,
+    term by term in query order, from the ordinal -> weight dicts
+    ``Index.postings`` builds on each term's first use; so every returned
+    score is bit-identical to summing ``bm25_term_score`` per posting.  The
+    search stops once the k-th best exact score beats the sum of the unwalked
+    bounds: a document not yet seen cannot reach the top k, not even in a
+    tie, and neither can a walked one left unrescored, because the k-th best
+    exact score only rises and the unwalked bounds only fall.  Both
+    comparisons carry the relative margin ``_PRUNE_SLACK``: partial sums add
+    in another order than the exact ones, so a near tie may swap sides by
+    rounding, and the margin keeps both sides.  A query of stopwords only
+    walks most of its postings and rescores most of the documents it meets.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     terms = [term for term in tokenize(query) if term in index.spans]
     counts = collections.Counter(terms)
-    lists = {term: index.postings(term) for term in counts}
-    by_bound = sorted(
-        ((m * lists[term][2], term) for term, m in counts.items()), reverse=True,
-    )
-    scores: dict = {}
-    cut = 0.0
-    seen = 0.0
-    for i, (bound, term) in enumerate(by_bound):
-        ordinals, weights, _ = lists[term]
-        if counts[term] > 1:
-            weights = [counts[term] * w for w in weights]
-        if scores:
-            get = scores.get
-            for ordinal, weight in zip(ordinals, weights):
-                scores[ordinal] = get(ordinal, 0.0) + weight
-        else:
-            scores = dict(zip(ordinals, weights))
-        seen += bound
-        rest = sum(b for b, _ in by_bound[i + 1:])
-        # No partial score exceeds ``seen``, so the k-th cannot beat ``rest`` yet.
-        if len(scores) < k or rest * _PRUNE_SLACK >= seen:
-            continue
-        kth = heapq.nlargest(k, scores.values())[-1]
-        if rest * _PRUNE_SLACK >= kth:
-            continue  # a document not yet seen could still reach the top k
-        cut = kth / _PRUNE_SLACK - rest
-        # Stop walking once one lookup per query term for each survivor costs
-        # less than the postings left; every _SAMPLE_STEP-th partial score
-        # estimates how many survive.
-        left = sum(index.spans[t][1] - index.spans[t][0] for _, t in by_bound[i + 1:])
-        sample = itertools.islice(scores.values(), 0, None, _SAMPLE_STEP)
-        if left and left > _SAMPLE_STEP * _LOOKUP_COST * len(terms) * sum(s >= cut for s in sample):
-            break
-    survivors = [ordinal for ordinal, score in scores.items() if score >= cut]
-    if not survivors:
-        return EMPTY_BUNDLE
-    in_query_order = [lists[term] for term in terms]
+    postings = {term: index.postings(term) for term in counts}
+    in_query_order = [postings[term] for term in terms]
+    ordinals, weights = index.ordinals, index.weights
+    # Per term not yet walked to its end: [next position, end, chunk size, multiplicity].
+    cursors = [[*index.spans[term], _FIRST_CHUNK, m] for term, m in counts.items()]
+
+    def bound(cursor: list) -> float:
+        return cursor[3] * weights[cursor[0]]
 
     def exact(ordinal: int) -> float:
         score = 0.0
-        for ordinals, weights, _ in in_query_order:
-            j = bisect.bisect_left(ordinals, ordinal)
-            if j < len(ordinals) and ordinals[j] == ordinal:
-                score += weights[j]
+        for weight_of in in_query_order:
+            score += weight_of.get(ordinal, 0.0)
         return score
 
-    exact_scores = {ordinal: exact(ordinal) for ordinal in survivors}
+    partial: dict = {}  # ordinal -> sum of its walked postings' weights
+    exact_scores: dict = {}  # ordinal -> score, for the documents rescored
+    top: list = []  # min-heap of the k best exact scores
+    while cursors:
+        cursor = max(cursors, key=bound)
+        start, end, size, m = cursor
+        stop = min(start + size, end)
+        if stop == end:
+            cursors.remove(cursor)
+        else:
+            cursor[0], cursor[2] = stop, 2 * size
+        rest = sum(map(bound, cursors))
+        get = partial.get
+        for ordinal, weight in zip(ordinals[start:stop], weights[start:stop]):
+            if ordinal in exact_scores:
+                continue
+            partial[ordinal] = score = get(ordinal, 0.0) + m * weight
+            if len(top) < k or (score + rest) * _PRUNE_SLACK >= top[0]:
+                exact_scores[ordinal] = score = exact(ordinal)
+                (heapq.heappush if len(top) < k else heapq.heappushpop)(top, score)
+        if len(top) == k and top[0] > rest * _PRUNE_SLACK:
+            break
+    if not top:
+        return EMPTY_BUNDLE
     # Every document scoring at or above the k-th best score, ranked exactly.
-    kth = heapq.nlargest(k, exact_scores.values())[-1]
+    kth = top[0]
     doc_ids = index.documents.ids
     ranked = sorted(
         (item for item in exact_scores.items() if item[1] >= kth),
@@ -434,21 +436,26 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v3, one file holding, in this order:
+    """Write the index in format v4, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 3, ``k1``, ``b``, ``doc_count``,
+    - one line of JSON header: ``version`` 4, ``k1``, ``b``, ``doc_count``,
       ``avg_doc_length``, the ``terms`` and each term's posting ``ends`` (its
       postings are those from the previous term's end to its own), and the
       byte length of the document blob, ``documents_bytes``;
-    - every posting's ordinal as one little-endian uint32 array, in term order;
-    - the postings' BM25 weights as one little-endian float64 array;
+    - every posting's ordinal as one little-endian uint32 array, in term order
+      and, within a term, in impact order: descending weight, ties by
+      ascending ordinal;
+    - the postings' BM25 weights as one little-endian float64 array, in the
+      same order;
     - the document blob: zlib-compressed, the byte length of every document's
       id, title and text as little-endian uint32s, then those fields' UTF-8
       bytes (DocumentTable.to_bytes).
 
     Term frequencies and document lengths are not stored: the weights are
-    all a search reads.  The same index always gives the same bytes.
+    all a search reads.  The same index always gives the same bytes.  The
+    file is written under a temporary name in the same directory and then
+    renamed over ``path``, so a failed write leaves any old file as it was.
     """
     blob = zlib.compress(index.documents.to_bytes(), _ZLIB_LEVEL)
     header = {
@@ -461,12 +468,19 @@ def save_index(index: Index, path: str) -> None:
         "ends": [end for _, end in index.spans.values()],
         "documents_bytes": len(blob),
     }
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC_LINE)
-        handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
-        _little_endian(index.ordinals).tofile(handle)
-        _little_endian(index.weights).tofile(handle)
-        handle.write(blob)
+    partial = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    handle = open(partial, "xb")
+    try:
+        with handle:
+            handle.write(_MAGIC_LINE)
+            handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+            _little_endian(index.ordinals).tofile(handle)
+            _little_endian(index.weights).tofile(handle)
+            handle.write(blob)
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def _rebuild_error(path: str, version) -> CorpusError:
@@ -477,9 +491,9 @@ def _rebuild_error(path: str, version) -> CorpusError:
 
 
 def _foreign_file_error(path: str, data: bytes) -> CorpusError:
-    """The error for a file without the v3 magic line, whose content is
-    ``data``: an index of an older format when it is JSON carrying the
-    graphfc magic, otherwise not an index at all."""
+    """The error for a file without the magic line of the binary formats,
+    whose content is ``data``: an index of an older format when it is JSON
+    carrying the graphfc magic, otherwise not an index at all."""
     try:
         payload = json.loads(data)
     except ValueError:
@@ -490,7 +504,7 @@ def _foreign_file_error(path: str, data: bytes) -> CorpusError:
 
 
 def _read_header(path: str, line: bytes) -> dict:
-    """The v3 header, checked for the keys and value types load_index uses."""
+    """The header, checked for the keys and value types load_index uses."""
     try:
         header = json.loads(line)
     except ValueError:

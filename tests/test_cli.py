@@ -234,6 +234,17 @@ class TestEvalCommand:
             "eval", "--config", fixture["config"], "--dataset", str(empty),
         ]) == 2
 
+    def test_malformed_cache_line_is_data_error(self, fixture, capsys):
+        row = {"key": "k1", "text": "v", "input_tokens": 1, "output_tokens": 1}
+        for bad in ('{"key": "a"}', '["a", "b"]', json.dumps({**row, "input_tokens": "1"})):
+            Path(fixture["cache"]).write_text(json.dumps(row) + "\n" + bad + "\n")
+            assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+            assert capsys.readouterr().err.startswith(f"data error: {fixture['cache']}:2: not a cache entry")
+
+    def test_partial_trailing_cache_line_is_skipped(self, fixture):
+        Path(fixture["cache"]).write_text('{"key": "k2", "tex')
+        assert cli.main(["eval", "--config", fixture["config"]]) == 0
+
     def test_abort_threshold_exit_code(self, fixture, tmp_path):
         rows = [
             {"id": f"u{i}", "text": f"totally unscripted claim {i} marker0", "label": "Supported"}

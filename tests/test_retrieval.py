@@ -16,6 +16,7 @@ import sys
 import tempfile
 import threading
 import zlib
+from array import array
 from unittest import mock
 
 import pytest
@@ -113,9 +114,9 @@ class TestBuildIndex:
             Document("geragos", "Mark Geragos", "Mark Geragos was involved in the scandal."),
         ]
         index = build_index(docs)
-        assert index.postings("shakespeare")[:2] == ([0], [bm25_term_score(1, 1, 2, 10, 9.5)])
+        assert index.postings("shakespeare") == {0: bm25_term_score(1, 1, 2, 10, 9.5)}
         # once in title, once in text
-        assert index.postings("mab")[:2] == ([0], [bm25_term_score(2, 1, 2, 10, 9.5)])
+        assert index.postings("mab") == {0: bm25_term_score(2, 1, 2, 10, 9.5)}
 
 
 class TestSearch:
@@ -247,7 +248,7 @@ class TestProperties:
                     bm25_term_score(tf, len(ordinals), n, lengths[o], avg)
                     for o, tf in zip(ordinals, tfs)
                 ]
-                assert index.postings(term)[:2] == (ordinals, weights)
+                assert index.postings(term) == dict(zip(ordinals, weights))
 
     @given(st.integers(min_value=1, max_value=50))
     @settings(max_examples=examples(30), deadline=None)
@@ -335,39 +336,113 @@ def skewed_corpora(draw):
     return [Document(doc_id, "", text) for doc_id, text in zip(ids, texts)]
 
 
-# ``_LOOKUP_COST`` 0 makes search stop walking postings at the first point
-# the bounds allow, the most pruning it can do; at the default it stops
-# later, or on corpora this small often not at all.
-_LOOKUP_COSTS = pytest.mark.parametrize("lookup_cost", [0, retrieval._LOOKUP_COST])
+@st.composite
+def long_list_corpora(draw):
+    """Corpora of 20-80 documents whose frequent words' posting lists span
+    several chunks at the default first-chunk size, with rare words in a few
+    documents and verbatim duplicates."""
+    texts = []
+    for _ in range(draw(st.integers(min_value=20, max_value=80))):
+        words = ["filler"] + draw(st.lists(_FREQUENT, min_size=1, max_size=5))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            words += draw(st.lists(_RARE, min_size=1, max_size=2))
+        texts.append(" ".join(words))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=6))
+    ids = draw(st.permutations([f"doc{i:03d}" for i in range(len(texts))]))
+    return [Document(doc_id, "", text) for doc_id, text in zip(ids, texts)]
 
 
-def pruned_search(index, query, k, lookup_cost):
-    with mock.patch.object(retrieval, "_LOOKUP_COST", lookup_cost):
+# A first chunk of 1 checks whether search may stop after every posting of
+# a term's first chunks, the most often it can; at the default it checks
+# less often and, on corpora this small, often walks every list.
+_FIRST_CHUNKS = pytest.mark.parametrize("first_chunk", [1, 2, retrieval._FIRST_CHUNK])
+_QUERIES = st.lists(st.one_of(_RARE, _FREQUENT, st.just("filler")), min_size=1, max_size=8).map(" ".join)
+
+
+class SliceCounter(array):
+    """An array that counts the items its slices read."""
+
+    def __new__(cls, values):
+        counter = super().__new__(cls, values.typecode, values)
+        counter.read = 0
+        return counter
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.read += len(range(*key.indices(len(self))))
+        return super().__getitem__(key)
+
+
+def pruned_search(index, query, k, first_chunk):
+    with mock.patch.object(retrieval, "_FIRST_CHUNK", first_chunk):
         return [(doc.doc_id, score) for doc, score in search(index, query, k).docs]
 
 
 class TestPrunedSearchMatchesReference:
-    @_LOOKUP_COSTS
+    @_FIRST_CHUNKS
     @given(skewed_corpora(), st.lists(st.one_of(_RARE, _FREQUENT), min_size=1, max_size=8).map(" ".join),
            st.integers(min_value=1, max_value=5))
-    @settings(max_examples=examples(300), deadline=None)
-    def test_same_ranking_and_bit_equal_scores(self, lookup_cost, docs, query, k):
+    @settings(max_examples=examples(150), deadline=None)
+    def test_same_ranking_and_bit_equal_scores(self, first_chunk, docs, query, k):
         for index in built_and_loaded(docs):
-            assert pruned_search(index, query, k, lookup_cost) == brute_force_search(index, query, k)
+            assert pruned_search(index, query, k, first_chunk) == brute_force_search(index, query, k)
 
-    @_LOOKUP_COSTS
-    def test_stopword_only_query(self, lookup_cost):
+    @_FIRST_CHUNKS
+    @given(long_list_corpora(), _QUERIES, st.data())
+    @settings(max_examples=examples(25), deadline=None)
+    def test_lists_longer_than_a_chunk_and_k_up_to_the_corpus(self, first_chunk, docs, query, data):
+        k = data.draw(st.integers(min_value=1, max_value=len(docs)), label="k")
+        index = build_index(docs)
+        assert pruned_search(index, query, k, first_chunk) == brute_force_search(index, query, k)
+
+    @_FIRST_CHUNKS
+    def test_rare_terms_in_fewer_than_k_documents(self, first_chunk):
+        # "zeta" is in 3 documents; the rest of the top k comes from the
+        # frequent words' lists, whose heads hold the short documents.
+        docs = [Document("z1", "", "zeta the of"), Document("z2", "", "zeta and"),
+                Document("z3", "", "zeta zeta the")]
+        docs += [
+            Document(f"f{i:02d}", "", " ".join(["the", "of", "and", "filler"][: 1 + i % 4] + ["pad"] * (i % 7)))
+            for i in range(60)
+        ]
+        for index in built_and_loaded(docs):
+            for query in ("zeta the zeta", "zeta of the and", "the zeta"):
+                for k in (1, 3, 4, 10, 30, 63, 100):
+                    got = pruned_search(index, query, k, first_chunk)
+                    assert got == brute_force_search(index, query, k)
+
+    def test_top_k_filled_from_the_heads_of_stopword_lists(self):
+        # "zeta" is in 3 documents, so 7 of the top 10 hold only "is" and
+        # "in": the shortest documents, at the heads of those lists.  The
+        # search rescores them exactly and stops; it does not walk the tails.
+        docs = [Document(f"z{i}", "", "zeta is mentioned in zeta") for i in range(3)]
+        docs += [
+            Document(f"d{i:03d}", "", " ".join(["is", "in"] + ["pad"] * (i % 13) + ["mentioned"] * (i % 10 == 0)))
+            for i in range(300)
+        ]
+        index = build_index(docs)
+        plain = index.ordinals
+        for query in ("zeta is in", "zeta is mentioned in zeta."):
+            search(index, query, 10)  # each term's first use reads its whole list
+            index.ordinals = SliceCounter(plain)
+            got = [(doc.doc_id, score) for doc, score in search(index, query, 10).docs]
+            assert got == brute_force_search(index, query, 10)
+            assert index.ordinals.read < 303 / 4  # "is" and "in" hold 303 postings each
+            index.ordinals = plain
+
+    @_FIRST_CHUNKS
+    def test_stopword_only_query(self, first_chunk):
         for index in built_and_loaded([
             Document("a", "", "the of of and"), Document("b", "", "the the"),
             Document("c", "", "of and and the"), Document("d", "", "the of"),
             Document("e", "", "zeta"),
         ]):
             for k in (1, 2, 4, 10):
-                got = pruned_search(index, "the of the and", k, lookup_cost)
+                got = pruned_search(index, "the of the and", k, first_chunk)
                 assert got == brute_force_search(index, "the of the and", k)
 
-    @_LOOKUP_COSTS
-    def test_repeated_terms_count_in_the_bounds(self, lookup_cost):
+    @_FIRST_CHUNKS
+    def test_repeated_terms_count_in_the_bounds(self, first_chunk):
         # Once, "the" weighs less than "zeta"; three times, it outweighs it.
         for index in built_and_loaded([
             Document("rare", "", "zeta"), Document("busy", "", "the the the"),
@@ -375,12 +450,27 @@ class TestPrunedSearchMatchesReference:
             Document("pad", "", "and of"),
         ]):
             for query in ("zeta the the the", "the zeta the"):
-                got = pruned_search(index, query, 1, lookup_cost)
+                got = pruned_search(index, query, 1, first_chunk)
                 assert got == brute_force_search(index, query, 1)
                 assert got[0][0] == "busy"
 
-    @_LOOKUP_COSTS
-    def test_near_ties_separated_only_by_rounding(self, lookup_cost):
+    @_FIRST_CHUNKS
+    def test_unwalked_tie_hidden_by_the_order_of_the_sum(self, first_chunk):
+        # "a" and "b" score alike, and "b" is walked first.  In floats,
+        # (x + y) + x, "b"'s exact score, exceeds 2x + y, the bound on what
+        # the unwalked "a" can score, by an ulp; only the margin keeps the
+        # search walking until "a" is found and wins the tie.
+        docs = [Document("b", "", "x y"), Document("a", "", "x y")]
+        docs += [Document(f"f{i}", "", "y " + "q " * (i + 3)) for i in range(3)]
+        docs += [Document(f"n{i}", "", "n " * (i + 1)) for i in range(3)]
+        for index in built_and_loaded(docs):
+            x, y = index.postings("x")[0], index.postings("y")[0]
+            assert (x + y) + x > 2 * x + y
+            got = pruned_search(index, "x y x", 1, first_chunk)
+            assert got == brute_force_search(index, "x y x", 1) == [("a", (x + y) + x)]
+
+    @_FIRST_CHUNKS
+    def test_near_ties_separated_only_by_rounding(self, first_chunk):
         # Equal idf and length, tfs permuted: the scores agree to the last
         # ulp or two, and which one is larger depends on the order of the sum.
         for index in built_and_loaded([
@@ -390,7 +480,7 @@ class TestPrunedSearchMatchesReference:
         ]):
             for query in ("y x z", "x y z", "z y x"):
                 for k in (1, 2):
-                    got = pruned_search(index, query, k, lookup_cost)
+                    got = pruned_search(index, query, k, first_chunk)
                     assert got == brute_force_search(index, query, k)
 
 
@@ -413,7 +503,7 @@ class TestPersistence:
         path = tmp_path / "empty.json"
         blob = zlib.compress(b"")
         header = {
-            "version": 3, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
+            "version": 4, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
             "terms": [], "ends": [], "documents_bytes": len(blob),
         }
         path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + blob)
@@ -449,9 +539,49 @@ class TestPersistence:
     def test_newer_version_is_rejected(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        rewrite_header(path, version=4)
-        with pytest.raises(CorpusError, match="version 4 .*re-run `graphfc index`"):
+        rewrite_header(path, version=5)
+        with pytest.raises(CorpusError, match="version 5 .*re-run `graphfc index`"):
             load_index(str(path))
+
+    def test_version_3_file_is_rejected(self, tmp_path, tiny_index):
+        # v3 had the same layout with each term's postings in ordinal order.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=3)
+        with pytest.raises(CorpusError, match="version 3 .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    @given(corpora())
+    @settings(max_examples=examples(50), deadline=None)
+    def test_postings_are_stored_in_impact_order(self, docs):
+        for index in built_and_loaded(docs):
+            for term, (start, end) in index.spans.items():
+                stored = list(zip(index.weights[start:end], index.ordinals[start:end]))
+                assert stored == sorted(stored, key=lambda p: (-p[0], p[1]))
+                assert list(index.postings(term).items()) == [(o, w) for w, o in stored]
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, tiny_index, monkeypatch):
+        path = tmp_path / "index"
+        save_index(build_index(TINY[:1]), str(path))
+        old = path.read_bytes()
+        calls = []
+
+        def fail_on_the_weights(values):
+            calls.append(values)
+            if len(calls) == 2:  # the magic line, header and ordinals are written
+                raise OSError("disk full")
+            return values
+
+        monkeypatch.setattr(retrieval, "_little_endian", fail_on_the_weights)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(tiny_index, str(path))
+        assert len(calls) == 2
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["index"]
+        monkeypatch.undo()
+        save_index(tiny_index, str(path))
+        assert os.listdir(tmp_path) == ["index"]
+        assert search(load_index(str(path)), "x y", k=3) == search(tiny_index, "x y", k=3)
 
     def test_same_corpus_saves_identical_bytes(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
