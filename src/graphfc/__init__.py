@@ -56,15 +56,13 @@ from .verdict import (
     PipelineOptions,
     StrategyChoice,
     VerdictTrace,
-    direct_verify,
     dp_graphcheck,
-    format_trace,
+    format_trace_dict,
     run_pipeline,
     select_strategy,
     trace_to_dict,
     verify_claim_graphcheck,
     verify_path,
-    verify_sentence,
     verify_triplet,
 )
 

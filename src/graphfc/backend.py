@@ -309,9 +309,6 @@ class ScriptedBackend:
     def register_contains(self, *needles: str, response: Response) -> "ScriptedBackend":
         return self.register(lambda p, n=needles: all(x in p for x in n), response)
 
-    def register_suffix(self, suffix: str, response: Response) -> "ScriptedBackend":
-        return self.register(lambda p, s=suffix: p.endswith(s), response)
-
     @property
     def call_count(self) -> int:
         with self._lock:
@@ -381,10 +378,11 @@ class ResponseCache:
     """Append-safe on-disk key/value store for GenResponse values.
 
     Entries are single JSON lines, so concurrent readers can follow a single
-    writer; a partial trailing line (in-flight write) is ignored on load.  A
-    line that is JSON but not an object with string ``key`` and ``text`` and
-    integer token counts raises CacheFileError naming the file and the line.
-    With ``path=None`` the cache is memory-only.
+    writer.  A partial trailing line (in-flight write) is ignored on load, and
+    the next entry starts on a new line.  A line that is JSON but not an
+    object with string ``key`` and ``text`` and integer token counts raises
+    CacheFileError naming the file and the line.  With ``path=None`` the
+    cache is memory-only.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -393,6 +391,7 @@ class ResponseCache:
         self._entries: Dict[str, GenResponse] = {}
         self.hits = 0
         self.misses = 0
+        self._unterminated = False  # the file's last line lacks its newline
         if path is not None:
             self._load(path)
 
@@ -403,6 +402,7 @@ class ResponseCache:
             return
         with handle:
             for lineno, line in enumerate(handle, start=1):
+                self._unterminated = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -445,9 +445,11 @@ class ResponseCache:
         with self._lock:
             self._entries[key] = replace(response, from_cache=False)
             if self.path is not None:
+                lead = "\n" if self._unterminated else ""
                 with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+                    handle.write(lead + json.dumps(row, ensure_ascii=False) + "\n")
                     handle.flush()
+                self._unterminated = False
 
 
 def cache_key(model: str, req: GenRequest) -> str:

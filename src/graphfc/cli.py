@@ -35,7 +35,6 @@ from .retrieval import CorpusError, build_index, load_index, read_corpus, save_i
 from .verdict import (
     PIPELINE_MODES,
     DocStrategy,
-    format_trace,
     format_trace_dict,
     run_pipeline,
     trace_to_dict,
@@ -119,8 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     claim_id, claim_text, pregenerated, gold_ids = _resolve_claim(args, config)
     index = load_index(config.require_path("index_path"))
-    ledger = CostLedger(config.prices)
-    backends, _ = build_backends(config, ledger)
+    backends, _ = build_backends(config)
     trace = run_pipeline(
         claim_text,
         index,
@@ -130,13 +128,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         gold_doc_ids=gold_ids if config.evidence_mode == "open_book_gold" else (),
         **vars(config.pipeline_options()),
     )
-    print(format_trace(trace))
+    row = trace_to_dict(trace)
+    print(format_trace_dict(row))
     trace_out = args.trace_out
     if not trace_out:
         stem = f"trace-{claim_id}.json" if claim_id else "trace.json"
         trace_out = os.path.join(os.path.dirname(config.traces_path) or ".", stem)
     with open(trace_out, "w", encoding="utf-8") as handle:
-        json.dump(trace_to_dict(trace), handle, ensure_ascii=False, sort_keys=True, indent=2)
+        json.dump(row, handle, ensure_ascii=False, sort_keys=True, indent=2)
     print(f"trace written to {trace_out}")
     return EXIT_OK
 

@@ -224,7 +224,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
     return config
 
 
-def _build_one(role: str, section: BackendConfig, ledger: CostLedger, caches: dict):
+def _build_one(role: str, section: BackendConfig, ledger: Optional[CostLedger], caches: dict):
     if section.type == "scripted":
         model = section.model or "scripted"
         if not section.script:
@@ -253,7 +253,7 @@ def _build_one(role: str, section: BackendConfig, ledger: CostLedger, caches: di
     return backend
 
 
-def build_backends(config: RunConfig, ledger: CostLedger):
+def build_backends(config: RunConfig, ledger: Optional[CostLedger] = None):
     """Instantiate one backend per pipeline role.
 
     Returns (BackendSuite, caches) where caches maps cache paths to their

@@ -24,6 +24,8 @@ from .verdict import (
 logger = logging.getLogger(__name__)
 
 DATASET_FORMATS = ("hover", "exfever", "generic")
+# A run aborts once more than this share of its claims has errored.
+ABORT_ERROR_FRACTION = 0.10
 
 
 class DataError(ValueError):
@@ -267,7 +269,6 @@ def run_eval(
     gold_mode: bool = False,
     workers: int = 1,
     ledger: Optional[CostLedger] = None,
-    abort_error_fraction: float = 0.10,
     **options,
 ) -> Tuple[EvalReport, List[VerdictTrace]]:
     """Run the pipeline over every record and aggregate metrics.
@@ -276,7 +277,7 @@ def run_eval(
     ``run_pipeline`` for each claim.
 
     Per-claim failures are recorded (the claim scores NotSupported, flagged in
-    its trace); once errored claims exceed ``abort_error_fraction`` of the
+    its trace); once errored claims exceed ``ABORT_ERROR_FRACTION`` of the
     dataset the whole run aborts with AbortThresholdError.  A CorpusError is
     not a per-claim failure: the index is at fault, so it ends the run.  A
     KeyboardInterrupt drains the pool and returns a report marked partial; if
@@ -307,7 +308,7 @@ def run_eval(
             )
 
     started = time.monotonic()
-    abort_limit = abort_error_fraction * len(records)
+    abort_limit = ABORT_ERROR_FRACTION * len(records)
     rows: List[_Row] = []
     errored: List[str] = []
     partial = False
@@ -324,7 +325,7 @@ def run_eval(
                     if len(errored) > abort_limit:
                         raise AbortThresholdError(
                             f"{len(errored)} of {len(records)} claims errored "
-                            f"(> {abort_error_fraction:.0%} threshold)"
+                            f"(> {ABORT_ERROR_FRACTION:.0%} threshold)"
                         )
         except KeyboardInterrupt:
             if not rows:

@@ -175,13 +175,6 @@ def _judge_sentence(sentence: str, texts: List[str], backends: BackendSuite) -> 
     return Label.NOT_SUPPORTED, -1
 
 
-def verify_sentence(sentence: str, evidence_texts: List[str], backends: BackendSuite) -> Label:
-    """Check one sentence against evidence inputs in order, short-circuiting
-    on the first affirmative answer."""
-    label, _ = _judge_sentence(sentence, list(evidence_texts), backends)
-    return label
-
-
 def _judged(
     sentence: str,
     bundle: EvidenceBundle,
@@ -257,31 +250,14 @@ def verify_claim_graphcheck(
     return Label.NOT_SUPPORTED, records
 
 
-def direct_verify(
-    claim_text: str,
-    index: Index,
-    backends: BackendSuite,
-    options: PipelineOptions = PipelineOptions(),
-) -> Tuple[Label, EvidenceBundle]:
-    """One-shot verification of the claim against its own retrieval results."""
-    bundle = backends.recall_retrieval(retrieve, index, claim_text, options.k)
-    judgment = _judged(
-        claim_text, bundle, backends, options.direct_strategy, options.truncation_chars
-    )
-    return judgment.label, bundle
-
-
 def select_strategy(
     claim_text: str,
-    index: Index,
+    evidence: EvidenceBundle,
     backends: BackendSuite,
     options: PipelineOptions = PipelineOptions(),
-    evidence: Optional[EvidenceBundle] = None,
 ) -> StrategyChoice:
-    """Ask whether the claim-level evidence suffices; affirmative routes to
+    """Ask whether the claim's own evidence suffices; affirmative routes to
     Direct, anything else to the full graph pipeline."""
-    if evidence is None:
-        evidence = backends.recall_retrieval(retrieve, index, claim_text, options.k)
     concat = truncated_concat(evidence, options.truncation_chars)
     response = backends.complete(PURPOSE_SELECT, build_select_prompt(concat, claim_text))
     value = DIRECT if is_affirmative(response.text) else GRAPHCHECK
@@ -334,7 +310,7 @@ def run_pipeline(
     route = DIRECT if opts.mode == "direct" else GRAPHCHECK
     selector_answer = None
     if opts.mode == "dp_graphcheck":
-        choice = select_strategy(claim_text, index, counted, opts, evidence=bundle)
+        choice = select_strategy(claim_text, bundle, counted, opts)
         route, selector_answer = choice.value, choice.selector_answer
         if route == GRAPHCHECK and normalize_answer(selector_answer) not in NEGATIVE_ANSWERS:
             notes.append(f"selector answer {selector_answer!r} unparseable; using GraphCheck")
@@ -482,8 +458,3 @@ def format_trace_dict(row: dict) -> str:
         lines.append(f"  error: {row['error']}")
     lines.append(f"  final: {row['final']}")
     return "\n".join(lines)
-
-
-def format_trace(trace: VerdictTrace) -> str:
-    """Human-readable tree for terminal output."""
-    return format_trace_dict(trace_to_dict(trace))

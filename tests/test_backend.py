@@ -42,7 +42,7 @@ class TestGenRequest:
 class TestScriptedBackend:
     def test_suffix_registration(self):
         backend = ScriptedBackend()
-        backend.register_suffix("Is the claim true or false?\nAnswer:", response="true")
+        backend.register(lambda p: p.endswith("Is the claim true or false?\nAnswer:"), "true")
         out = backend.complete(greedy("Evidence: e\nClaim: c\nIs the claim true or false?\nAnswer:"))
         assert out.text == "true"
         assert not out.from_cache
@@ -124,6 +124,25 @@ class TestCachedBackend:
         store = ResponseCache(str(path))
         assert store.get("k1") is not None
         assert store.get("k2") is None
+
+    def test_entry_after_a_partial_line_survives_a_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "k2", "tex')
+        ResponseCache(str(path)).put("k3", GenResponse("v3", 1, 1))
+        reloaded = ResponseCache(str(path))
+        assert reloaded.get("k3") == GenResponse("v3", 1, 1)
+        assert reloaded.get("k2") is None
+
+    def test_entry_after_an_unterminated_row_survives_a_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        row = {"key": "k2", "text": "v2", "input_tokens": 1, "output_tokens": 1}
+        path.write_text(json.dumps(row))
+        store = ResponseCache(str(path))
+        store.put("k3", GenResponse("v3", 1, 1))
+        store.put("k4", GenResponse("v4", 1, 1))
+        reloaded = ResponseCache(str(path))
+        assert [reloaded.get(key).text for key in ("k2", "k3", "k4")] == ["v2", "v3", "v4"]
+        assert path.read_text().count("\n") == 3
 
     def test_key_is_stable_and_model_scoped(self):
         request = greedy("same prompt")

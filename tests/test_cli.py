@@ -298,6 +298,19 @@ class TestTraceCommand:
         assert cli.main(["trace", "--file", trace_out]) == 0
         assert "claim dir00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("claim_id", ["dir00", "gph02"])
+    def test_prints_the_tree_that_verify_printed(self, fixture, tmp_path, capsys, claim_id):
+        trace_out = str(tmp_path / "one.json")
+        assert cli.main([
+            "verify", "--config", fixture["config"],
+            "--claim-id", claim_id, "--trace-out", trace_out,
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["trace", "--file", trace_out]) == 0
+        tree = capsys.readouterr().out
+        assert f"claim {claim_id}: " in tree
+        assert printed == tree.removesuffix("\n") + f"trace written to {trace_out}\n"
+
 
 class TestOverrideFlags:
     def test_eval_flags_are_pinned(self, capsys):

@@ -26,11 +26,9 @@ from graphfc.verdict import (
     DocStrategy,
     Label,
     PipelineOptions,
-    direct_verify,
     dp_graphcheck,
-    format_trace,
+    format_trace_dict,
     run_pipeline,
-    select_strategy,
     trace_to_dict,
     verify_claim_graphcheck,
 )
@@ -213,7 +211,7 @@ class TestTwoPathsSameBindings:
         row = trace_to_dict(trace)
         assert row["memo_hits"] == trace.memo_hits
         assert "memo_hits" not in row["calls"]
-        assert "  memo hits: verification=5, retrieval=5" in format_trace(trace).splitlines()
+        assert "  memo hits: verification=5, retrieval=5" in format_trace_dict(row).splitlines()
 
 
 class TestClaimMemo:
@@ -276,17 +274,3 @@ class TestViewAccounting:
             "graph_construction": 0, "infilling": 0, "verification": 1, "selection": 0,
         }
         assert (view.memo.input_tokens, view.memo.output_tokens) == (2, 1)
-
-    def test_direct_verify_and_selector_retrieve_through_the_view(
-        self, band_index, search_counter
-    ):
-        view = same_bindings_suite().counted()
-        options = PipelineOptions(k=2)
-        choice = select_strategy(BAND_CLAIM, band_index, view, options)
-        label, bundle = direct_verify(BAND_CLAIM, band_index, view, options)
-        assert (choice.value, label) == ("GraphCheck", Label.SUPPORTED)
-        again, _ = direct_verify(BAND_CLAIM, band_index, view, options)
-        assert again is label
-        assert view.memo.hits[RETRIEVAL] == 2
-        assert sum(search_counter.values()) == 1
-        assert len(bundle) == 2

@@ -18,10 +18,10 @@ from graphfc.verdict import (
     DocStrategy,
     Label,
     PipelineOptions,
-    direct_verify,
+    _judge_sentence,
     dp_graphcheck,
     evidence_texts,
-    format_trace,
+    format_trace_dict,
     is_affirmative,
     normalize_answer,
     run_pipeline,
@@ -30,7 +30,6 @@ from graphfc.verdict import (
     truncated_concat,
     verify_claim_graphcheck,
     verify_path,
-    verify_sentence,
     verify_triplet,
 )
 
@@ -80,20 +79,22 @@ class TestNormalization:
 class TestVerifySentence:
     def test_second_evidence_supports(self):
         backend = verifier("false", "true")
-        label = verify_sentence("s", ["e1", "e2"], BackendSuite.single(backend))
+        label = _judge_sentence("s", ["e1", "e2"], BackendSuite.single(backend))[0]
         assert label is Label.SUPPORTED
         assert backend.call_count == 2
 
     def test_all_negative(self):
         backend = verifier("false", "false", "no")
-        assert verify_sentence(
+        assert _judge_sentence(
             "s", ["e1", "e2", "e3"], BackendSuite.single(backend)
-        ) is Label.NOT_SUPPORTED
+        )[0] is Label.NOT_SUPPORTED
         assert backend.call_count == 3
 
     def test_normalization_and_short_circuit(self):
         backend = verifier("True.")
-        assert verify_sentence("s", ["e1", "e2"], BackendSuite.single(backend)) is Label.SUPPORTED
+        assert _judge_sentence(
+            "s", ["e1", "e2"], BackendSuite.single(backend)
+        )[0] is Label.SUPPORTED
         assert backend.call_count == 1
 
     def test_prompt_format(self):
@@ -101,9 +102,9 @@ class TestVerifySentence:
             "Evidence: the evidence\nClaim: the claim\nIs the claim true or false?\nAnswer:",
             "true",
         )
-        assert verify_sentence(
+        assert _judge_sentence(
             "the claim", ["the evidence"], BackendSuite.single(backend)
-        ) is Label.SUPPORTED
+        )[0] is Label.SUPPORTED
 
 
 class TestEvidenceTexts:
@@ -316,25 +317,25 @@ class TestVerifyClaimGraphcheck:
 
 class TestDirectAndSelector:
     def test_direct_true(self, band_index):
-        label, bundle = direct_verify(
-            BAND_CLAIM, band_index, BackendSuite.single(verifier("true")), PipelineOptions(k=2)
+        trace = run_pipeline(
+            BAND_CLAIM, band_index, BackendSuite.single(verifier("true")), mode="direct", k=2
         )
-        assert label is Label.SUPPORTED
-        assert len(bundle) >= 1
+        assert trace.final is Label.SUPPORTED
+        assert len(trace.direct_evidence) >= 1
 
     def test_direct_false(self, band_index):
-        label, _ = direct_verify(
-            BAND_CLAIM, band_index, BackendSuite.single(verifier("false")), PipelineOptions(k=2)
+        trace = run_pipeline(
+            BAND_CLAIM, band_index, BackendSuite.single(verifier("false")), mode="direct", k=2
         )
-        assert label is Label.NOT_SUPPORTED
+        assert trace.final is Label.NOT_SUPPORTED
 
     def test_direct_empty_retrieval(self, band_index):
         backend = verifier("true")
-        label, bundle = direct_verify(
-            "qqq zzz vvv", band_index, BackendSuite.single(backend), PipelineOptions(k=2)
+        trace = run_pipeline(
+            "qqq zzz vvv", band_index, BackendSuite.single(backend), mode="direct", k=2
         )
-        assert label is Label.NOT_SUPPORTED
-        assert len(bundle) == 0
+        assert trace.final is Label.NOT_SUPPORTED
+        assert len(trace.direct_evidence) == 0
         assert backend.call_count == 0
 
     @pytest.mark.parametrize(
@@ -345,7 +346,8 @@ class TestDirectAndSelector:
             "Does the evidence contain sufficient information", response=answer
         )
         choice = select_strategy(
-            BAND_CLAIM, band_index, BackendSuite.single(backend), PipelineOptions(k=2)
+            BAND_CLAIM, retrieve(band_index, BAND_CLAIM, 2), BackendSuite.single(backend),
+            PipelineOptions(k=2),
         )
         assert choice.value == expected
         assert choice.selector_answer == answer
@@ -359,7 +361,8 @@ class TestDirectAndSelector:
 
         backend = ScriptedBackend().register(lambda p: True, capture)
         select_strategy(
-            "short claim x", band_index, BackendSuite.single(backend), PipelineOptions(k=1)
+            "short claim x", retrieve(band_index, "short claim x", 1),
+            BackendSuite.single(backend), PipelineOptions(k=1),
         )
         prompt = seen["prompt"]
         assert prompt.startswith("Evidence: ")
@@ -601,7 +604,7 @@ class TestTraceSerialization:
             pregenerated_graph=MUSICIAN_GRAPH, k=2,
             graphcheck_strategy=DocStrategy.CONCAT,
         )
-        tree = format_trace(trace)
+        tree = format_trace_dict(trace_to_dict(trace))
         assert "strategy: GraphCheck" in tree
         assert "(ENT2) := 'Modest Mouse'" in tree
         assert "final: Supported" in tree
