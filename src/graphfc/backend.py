@@ -336,33 +336,43 @@ class ScriptedBackend:
         return result
 
 
+# Script matcher keys, each a test of the prompt against the key's value.
+_SCRIPT_MATCHERS = {
+    "equals": lambda p, v: p == v,
+    "prefix": str.startswith,
+    "suffix": str.endswith,
+    "contains": lambda p, v: all(n in p for n in v),
+}
+
+
 def load_script(path: str) -> List[Registration]:
     """Load scripted (predicate, answer) registrations from a JSON file.
 
     The file holds a list of objects with a ``response`` string plus matcher
     keys: ``equals``, ``prefix``, ``suffix``, and/or ``contains`` (string or
     list of strings; every listed needle must appear).  All given matcher keys
-    must hold for the registration to match.
+    must hold for the registration to match.  Any other shape, invalid JSON
+    included, raises ValueError naming the entry.
     """
     with open(path, "r", encoding="utf-8") as handle:
         entries = json.load(handle)
+    if not isinstance(entries, list):
+        raise ValueError("a script must be a JSON list of entries")
     registrations = []
-    for entry in entries:
-        conditions = []
-        if "equals" in entry:
-            conditions.append(lambda p, v=entry["equals"]: p == v)
-        if "prefix" in entry:
-            conditions.append(lambda p, v=entry["prefix"]: p.startswith(v))
-        if "suffix" in entry:
-            conditions.append(lambda p, v=entry["suffix"]: p.endswith(v))
-        if "contains" in entry:
-            needles = entry["contains"]
-            if isinstance(needles, str):
-                needles = [needles]
-            conditions.append(lambda p, v=tuple(needles): all(n in p for n in v))
-        if not conditions:
-            raise ValueError("script entry has no matcher key")
-        matcher = lambda p, cs=tuple(conditions): all(c(p) for c in cs)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("response"), str):
+            raise ValueError(f"entry {i}: not an object with a string 'response'")
+        values = {key: entry[key] for key in _SCRIPT_MATCHERS if key in entry}
+        if isinstance(values.get("contains"), str):
+            values["contains"] = [values["contains"]]
+        if not values:
+            raise ValueError(f"entry {i}: script entry has no matcher key")
+        for key, value in values.items():
+            strings = value if key == "contains" and isinstance(value, list) else [value]
+            if not all(isinstance(s, str) for s in strings):
+                raise ValueError(f"entry {i}: {key!r} must hold strings, got {value!r}")
+        tests = tuple((_SCRIPT_MATCHERS[key], value) for key, value in values.items())
+        matcher = lambda p, ts=tests: all(test(p, v) for test, v in ts)
         registrations.append((matcher, lambda p, r=entry["response"]: r))
     return registrations
 

@@ -31,7 +31,7 @@ from .evaluate import (
     load_dataset,
     run_eval,
 )
-from .retrieval import CorpusError, build_index, load_index, read_corpus, save_index
+from .retrieval import CorpusError, build_index, load_index, read_corpus, read_jsonl, save_index
 from .verdict import (
     PIPELINE_MODES,
     DocStrategy,
@@ -177,30 +177,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    """Print a trace file: one JSON object (from ``verify``) or JSON Lines (from ``eval``)."""
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             content = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read trace file: {exc}") from exc
-    stripped = content.strip()
-    if not stripped:
+    if not content.strip():
         raise DataError(f"trace file {args.file} is empty")
     try:
-        loaded = json.loads(stripped)
-        rows = loaded if isinstance(loaded, list) else [loaded]
+        row = json.loads(content)
     except json.JSONDecodeError:
-        rows = []
-        for line in stripped.splitlines():
-            if line.strip():
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"invalid trace line: {exc}") from exc
+        row = None
+    rows = [(1, row)] if isinstance(row, dict) else read_jsonl(args.file, DataError)
     shown = 0
-    for row in rows:
+    for lineno, row in rows:
+        try:
+            tree = format_trace_dict(row)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(f"{args.file}:{lineno}: not a graphfc trace ({exc!r})") from exc
         if args.claim_id and row.get("claim_id") != args.claim_id:
             continue
-        print(format_trace_dict(row))
+        print(tree)
         print()
         shown += 1
     if args.claim_id and not shown:

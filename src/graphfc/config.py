@@ -232,7 +232,10 @@ def _build_one(role: str, section: BackendConfig, ledger: Optional[CostLedger], 
         elif not os.path.exists(section.script):
             raise ConfigError(f"backend {role}: script not found: {section.script}")
         else:
-            backend = scripted_from_file(section.script, model=model, ledger=ledger)
+            try:
+                backend = scripted_from_file(section.script, model=model, ledger=ledger)
+            except ValueError as exc:  # invalid JSON or a malformed entry
+                raise ConfigError(f"backend {role}: script {section.script}: {exc}") from exc
     else:  # "http"; load_config has checked the type
         if not section.endpoint:
             raise ConfigError(f"backend {role}: endpoint is required for type=http")

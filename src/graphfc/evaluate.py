@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +9,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .backend import BackendSuite, CostLedger
-from .retrieval import CorpusError, EvidenceBundle, Index
+from .retrieval import CorpusError, EvidenceBundle, Index, read_jsonl
 from .verdict import (
     DIRECT,
     GRAPHCHECK,
@@ -23,7 +22,6 @@ from .verdict import (
 
 logger = logging.getLogger(__name__)
 
-DATASET_FORMATS = ("hover", "exfever", "generic")
 # A run aborts once more than this share of its claims has errored.
 ABORT_ERROR_FRACTION = 0.10
 
@@ -49,6 +47,13 @@ class ClaimRecord:
 _HOVER_LABELS = {"SUPPORTED": Label.SUPPORTED, "NOT_SUPPORTED": Label.NOT_SUPPORTED}
 _EXFEVER_LABELS = {"SUPPORTS": Label.SUPPORTED, "REFUTES": Label.NOT_SUPPORTED}
 _GENERIC_LABELS = {"Supported": Label.SUPPORTED, "NotSupported": Label.NOT_SUPPORTED}
+# Per dataset format: the claim text's keys (the first present wins) and its labels.
+_FORMATS = {
+    "hover": (("claim", "text"), _HOVER_LABELS),
+    "exfever": (("claim", "text"), _EXFEVER_LABELS),
+    "generic": (("text", "claim"), _GENERIC_LABELS),
+}
+DATASET_FORMATS = tuple(_FORMATS)
 _NEI_LABELS = {"NOT ENOUGH INFO", "NOT_ENOUGH_INFO", "NEI"}
 
 
@@ -73,10 +78,13 @@ def _row_id(row: dict, lineno: int) -> str:
     return str(lineno)
 
 
-def _row_hops(row: dict) -> Optional[int]:
+def _row_hops(row: dict, where: str) -> Optional[int]:
     for key in ("num_hops", "hops"):
         if key in row and row[key] is not None:
-            return int(row[key])
+            try:
+                return int(row[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"{where}: {key} is not an integer: {row[key]!r}") from exc
     return None
 
 
@@ -88,44 +96,32 @@ def load_dataset(path: str, fmt: str) -> List[ClaimRecord]:
     """
     if fmt not in DATASET_FORMATS:
         raise DataError(f"unknown dataset format {fmt!r}")
+    (first_key, second_key), labels = _FORMATS[fmt]
     records: List[ClaimRecord] = []
     dropped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            rid = _row_id(row, lineno)
-            raw_label = str(row.get("label", ""))
-            if fmt == "hover":
-                text = row.get("claim", row.get("text", ""))
-                label = _HOVER_LABELS.get(raw_label)
-            elif fmt == "exfever":
-                text = row.get("claim", row.get("text", ""))
-                if raw_label.upper() in _NEI_LABELS:
-                    dropped += 1
-                    continue
-                label = _EXFEVER_LABELS.get(raw_label)
-            else:
-                text = row.get("text", row.get("claim", ""))
-                label = _GENERIC_LABELS.get(raw_label)
-            if label is None:
-                raise DataError(f"{path}:{lineno} (id={rid}): unknown label {raw_label!r}")
-            if not text:
-                raise DataError(f"{path}:{lineno} (id={rid}): empty claim text")
-            records.append(
-                ClaimRecord(
-                    id=rid,
-                    text=text,
-                    label=label,
-                    hops=_row_hops(row),
-                    gold_doc_ids=_gold_ids(row),
-                    pregenerated_graph=row.get("pregenerated_graph"),
-                )
+    for lineno, row in read_jsonl(path, DataError):
+        rid = _row_id(row, lineno)
+        where = f"{path}:{lineno} (id={rid})"
+        raw_label = str(row.get("label", ""))
+        if fmt == "exfever" and raw_label.upper() in _NEI_LABELS:
+            dropped += 1
+            continue
+        text = row.get(first_key, row.get(second_key, ""))
+        label = labels.get(raw_label)
+        if label is None:
+            raise DataError(f"{where}: unknown label {raw_label!r}")
+        if not text:
+            raise DataError(f"{where}: empty claim text")
+        records.append(
+            ClaimRecord(
+                id=rid,
+                text=text,
+                label=label,
+                hops=_row_hops(row, where),
+                gold_doc_ids=_gold_ids(row),
+                pregenerated_graph=row.get("pregenerated_graph"),
             )
+        )
     if dropped:
         logger.info("dropped %d NEI-labeled rows from %s", dropped, path)
     return records

@@ -196,14 +196,6 @@ class ClaimGraph:
     source_text: str = ""
 
 
-def _error(kind: str, line: int, message: str) -> GraphDiagnostic:
-    return GraphDiagnostic("error", kind, line, message)
-
-
-def _warning(kind: str, line: int, message: str) -> GraphDiagnostic:
-    return GraphDiagnostic("warning", kind, line, message)
-
-
 def parse_graph(text: str):
     """Parse the two-section graph format.
 
@@ -214,9 +206,7 @@ def parse_graph(text: str):
     diagnostics: list = []
     latent_defs: dict = {}
     def_lines: dict = {}
-    triples: list = []
-    triple_lines: list = []
-    triple_lines_seen = 0
+    triples: list = []  # (line, Triplet), or (line, None) for a malformed line
 
     lines = text.split("\n")
     section = "preamble"
@@ -225,8 +215,6 @@ def parse_graph(text: str):
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if skipped_trailing_at is not None:
-            continue
         if not line:
             continue
         if section == "preamble":
@@ -236,9 +224,8 @@ def parse_graph(text: str):
                 skipped_preamble_at = lineno
             continue
         if section == "latent" and line == LATENT_HEADER:
-            diagnostics.append(
-                _error("malformed_line", lineno, f"repeated {LATENT_HEADER!r} header")
-            )
+            message = f"repeated {LATENT_HEADER!r} header"
+            diagnostics.append(GraphDiagnostic("error", "malformed_line", lineno, message))
             continue
         if section == "latent" and line == TRIPLES_HEADER:
             section = "triples"
@@ -246,111 +233,62 @@ def parse_graph(text: str):
         if line.startswith("#"):
             # Unknown or out-of-place header: the graph region ends here.
             skipped_trailing_at = lineno
-            continue
-        if section == "latent":
-            try:
-                t = parse_triplet_line(line)
-            except ValueError as exc:
-                diagnostics.append(_error("malformed_line", lineno, str(exc)))
-                continue
-            if len(t.subject) != 1 or not isinstance(t.subject[0], PlaceholderId):
-                diagnostics.append(
-                    _error(
-                        "malformed_line",
-                        lineno,
-                        "latent entity definition subject must be a single placeholder",
-                    )
-                )
-                continue
-            p = t.subject[0]
-            if p in latent_defs:
-                diagnostics.append(
-                    _error(
-                        "duplicate_placeholder",
-                        lineno,
-                        f"{p.surface} defined more than once",
-                    )
-                )
-                continue
-            latent_defs[p] = t
-            def_lines[p] = lineno
-        else:
-            triple_lines_seen += 1
-            try:
-                t = parse_triplet_line(line)
-            except ValueError as exc:
-                diagnostics.append(_error("malformed_line", lineno, str(exc)))
-                continue
-            triples.append(t)
-            triple_lines.append(lineno)
+            break
+        try:
+            t = parse_triplet_line(line)
+            if section == "latent" and (
+                len(t.subject) != 1 or not isinstance(t.subject[0], PlaceholderId)
+            ):
+                raise ValueError("latent entity definition subject must be a single placeholder")
+        except ValueError as exc:
+            diagnostics.append(GraphDiagnostic("error", "malformed_line", lineno, str(exc)))
+            t = None
+        if section == "triples":
+            triples.append((lineno, t))
+        elif t is not None and t.subject[0] in latent_defs:
+            message = f"{t.subject[0].surface} defined more than once"
+            diagnostics.append(GraphDiagnostic("error", "duplicate_placeholder", lineno, message))
+        elif t is not None:
+            latent_defs[t.subject[0]] = t
+            def_lines[t.subject[0]] = lineno
 
-    if skipped_preamble_at is not None:
-        diagnostics.append(
-            _warning(
-                "skipped_text",
-                skipped_preamble_at,
-                f"text before {LATENT_HEADER!r} was skipped",
-            )
-        )
-    if skipped_trailing_at is not None:
-        diagnostics.append(
-            _warning(
-                "skipped_text",
-                skipped_trailing_at,
-                "text after the graph sections was skipped",
-            )
-        )
+    for skipped_at, message in (
+        (skipped_preamble_at, f"text before {LATENT_HEADER!r} was skipped"),
+        (skipped_trailing_at, "text after the graph sections was skipped"),
+    ):
+        if skipped_at is not None:
+            diagnostics.append(GraphDiagnostic("warning", "skipped_text", skipped_at, message))
 
-    if section == "preamble":
-        diagnostics.append(
-            _error("empty_section", len(lines), f"missing {LATENT_HEADER!r} header")
-        )
+    if section != "triples":
+        header = LATENT_HEADER if section == "preamble" else TRIPLES_HEADER
+        message = f"missing {header!r} header"
+        diagnostics.append(GraphDiagnostic("error", "empty_section", len(lines), message))
         return None, diagnostics
-    if section == "latent":
-        diagnostics.append(
-            _error("empty_section", len(lines), f"missing {TRIPLES_HEADER!r} header")
-        )
-        return None, diagnostics
-    if triple_lines_seen == 0:
-        diagnostics.append(
-            _error("empty_section", len(lines), f"{TRIPLES_HEADER!r} section is empty")
-        )
+    if not triples:
+        message = f"{TRIPLES_HEADER!r} section is empty"
+        diagnostics.append(GraphDiagnostic("error", "empty_section", len(lines), message))
 
     referenced: set = set()
-    for t, lineno in zip(triples, triple_lines):
-        for p in sorted(placeholders_of(t)):
+    for at, t in triples:
+        for p in sorted(placeholders_of(t)) if t is not None else ():
             referenced.add(p)
             if p not in latent_defs:
-                diagnostics.append(
-                    _error(
-                        "undefined_placeholder",
-                        lineno,
-                        f"{p.surface} used in {TRIPLES_HEADER!r} but never defined",
-                    )
-                )
+                message = f"{p.surface} used in {TRIPLES_HEADER!r} but never defined"
+                diagnostics.append(GraphDiagnostic("error", "undefined_placeholder", at, message))
     for p, t in latent_defs.items():
+        at = def_lines[p]
         # Placeholders referenced inside a definition body must be defined too.
         for q in sorted(placeholders_of(t) - {p}):
             if q not in latent_defs:
-                diagnostics.append(
-                    _error(
-                        "undefined_placeholder",
-                        def_lines[p],
-                        f"{q.surface} used in the definition of {p.surface} but never defined",
-                    )
-                )
+                message = f"{q.surface} used in the definition of {p.surface} but never defined"
+                diagnostics.append(GraphDiagnostic("error", "undefined_placeholder", at, message))
         if p not in referenced:
-            diagnostics.append(
-                _warning(
-                    "orphan_latent_def",
-                    def_lines[p],
-                    f"{p.surface} is defined but never used in {TRIPLES_HEADER!r}",
-                )
-            )
+            message = f"{p.surface} is defined but never used in {TRIPLES_HEADER!r}"
+            diagnostics.append(GraphDiagnostic("warning", "orphan_latent_def", at, message))
 
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
-    return ClaimGraph(latent_defs, tuple(triples), text), diagnostics
+    return ClaimGraph(latent_defs, tuple(t for _, t in triples), text), diagnostics
 
 
 def serialize_graph(graph: ClaimGraph) -> str:

@@ -29,7 +29,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -394,13 +394,14 @@ def merge_gold(retrieved: EvidenceBundle, gold: List[Document], k: int) -> Evide
 
     Gold documents come first (deduplicated by doc_id, ordered by doc_id, with
     an infinite score sentinel), followed by the top retrieved non-gold
-    documents; the result is truncated to at most k entries.
+    documents; the result is truncated to at most k entries.  More than k
+    distinct gold documents raise ValueError.
     """
-    if len(gold) > k:
-        raise ValueError(f"gold set size {len(gold)} exceeds k={k}")
     gold_by_id = {}
     for doc in gold:
         gold_by_id.setdefault(doc.doc_id, doc)
+    if len(gold_by_id) > k:
+        raise ValueError(f"gold set size {len(gold_by_id)} exceeds k={k}")
     merged = [(doc, GOLD_SCORE) for _, doc in sorted(gold_by_id.items())]
     for doc, score in retrieved.docs:
         if doc.doc_id not in gold_by_id:
@@ -416,8 +417,9 @@ def retrieve(index: Index, query: str, k: int, gold_docs: Optional[List[Document
     return bundle
 
 
-def read_corpus(path: str) -> Iterable[Document]:
-    """Stream a JSONL corpus with keys "id", "title", "text"."""
+def read_jsonl(path: str, error: Callable[[str], Exception]) -> Iterator[Tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSON Lines
+    file; a line that is not a JSON object raises ``error`` naming the line."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -425,14 +427,22 @@ def read_corpus(path: str) -> Iterable[Document]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            try:
-                doc = Document(str(row["id"]), str(row["title"]), str(row["text"]))
-            except KeyError as exc:
-                raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
-            if not doc.text:
-                raise CorpusError(f"{path}:{lineno}: document text is empty")
-            yield doc
+                raise error(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(row, dict):
+                raise error(f"{path}:{lineno}: not a JSON object")
+            yield lineno, row
+
+
+def read_corpus(path: str) -> Iterable[Document]:
+    """Stream a JSONL corpus with keys "id", "title", "text"."""
+    for lineno, row in read_jsonl(path, CorpusError):
+        try:
+            doc = Document(str(row["id"]), str(row["title"]), str(row["text"]))
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
+        if not doc.text:
+            raise CorpusError(f"{path}:{lineno}: document text is empty")
+        yield doc
 
 
 def save_index(index: Index, path: str) -> None:

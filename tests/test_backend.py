@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -410,3 +411,32 @@ class TestScriptFile:
         path.write_text(json.dumps([{"response": "x"}]))
         with pytest.raises(ValueError):
             load_script(str(path))
+
+    @pytest.mark.parametrize("script,reason", [
+        ({"equals": "p", "response": "x"}, "a script must be a JSON list of entries"),
+        (["equals"], "entry 0: not an object with a string 'response'"),
+        ([{"equals": "p", "response": "x"}, {"equals": "p"}], "entry 1: not an object"),
+        ([{"equals": "p", "response": 3}], "entry 0: not an object with a string 'response'"),
+        ([{"equals": 3, "response": "x"}], "entry 0: 'equals' must hold strings"),
+        ([{"prefix": None, "response": "x"}], "entry 0: 'prefix' must hold strings"),
+        ([{"suffix": ["a"], "response": "x"}], "entry 0: 'suffix' must hold strings"),
+        ([{"contains": ["a", 1], "response": "x"}], "entry 0: 'contains' must hold strings"),
+        ([{"contains": {"a": 1}, "response": "x"}], "entry 0: 'contains' must hold strings"),
+        ([{"response": "x", "when": "p"}], "entry 0: script entry has no matcher key"),
+    ])
+    def test_malformed_script_raises_value_error_naming_the_entry(self, tmp_path, script, reason):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            load_script(str(path))
+
+    def test_contains_takes_a_string_or_a_list(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([
+            {"contains": "alpha", "suffix": "!", "response": "one"},
+            {"contains": [], "response": "any"},
+        ]))
+        backend = ScriptedBackend()
+        backend._registrations.extend(load_script(str(path)))
+        assert backend.complete(greedy("alpha!")).text == "one"
+        assert backend.complete(greedy("alpha?")).text == "any"

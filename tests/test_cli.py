@@ -81,6 +81,15 @@ class TestIndexCommand:
         assert code == 2
         assert "dup" in capsys.readouterr().err
 
+    def test_non_object_corpus_row_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('["x"]\n')
+        code = cli.main([
+            "index", "--corpus", str(corpus), "--index", str(tmp_path / "i.json"),
+        ])
+        assert code == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == f"data error: {corpus}:1: not a JSON object\n"
+
     def test_truncated_index_is_data_error(self, fixture, capsys):
         with open(fixture["index"], "r+b") as handle:
             handle.truncate(os.path.getsize(fixture["index"]) // 2)
@@ -214,6 +223,41 @@ class TestEvalCommand:
         assert report["overall"]["strategy"]["Direct"]["fraction"] == 1.0
         assert report["config"]["mode"] == "direct"
 
+    def test_non_object_dataset_row_is_data_error(self, fixture, capsys):
+        with open(fixture["dataset"], "a", encoding="utf-8") as handle:
+            handle.write('["a", "b"]\n')
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture['dataset']}:21: not a JSON object\n"
+        )
+
+    def test_hops_that_is_not_an_integer_is_data_error(self, fixture, capsys):
+        rows = [json.loads(line) for line in open(fixture["dataset"])]
+        rows[3]["hops"] = "two"
+        Path(fixture["dataset"]).write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture['dataset']}:4 (id={rows[3]['id']}): "
+            "hops is not an integer: 'two'\n"
+        )
+
+    @pytest.mark.parametrize("script,reason", [
+        ("[{", "invalid JSON|Expecting"),
+        ('{"equals": "p", "response": "x"}', "a script must be a JSON list of entries"),
+        ('[{"equals": "p", "response": "x"}, {"equals": "q"}]',
+         "entry 1: not an object with a string 'response'"),
+        ('[{"response": "x"}]', "entry 0: script entry has no matcher key"),
+        ('[{"contains": ["a", 2], "response": "x"}]', "entry 0: 'contains' must hold strings"),
+    ])
+    def test_malformed_script_is_config_error(self, fixture, capsys, script, reason):
+        Path(fixture["script"]).write_text(script)
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_CONFIG == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: backend graph_construction: script {fixture['script']}: "
+        )
+        assert re.search(reason, err)
+
     def test_graphcheck_only_breakdown(self, fixture):
         code = cli.main(["eval", "--config", fixture["config"], "--pipeline", "graphcheck"])
         assert code == 0
@@ -310,6 +354,50 @@ class TestTraceCommand:
         tree = capsys.readouterr().out
         assert f"claim {claim_id}: " in tree
         assert printed == tree.removesuffix("\n") + f"trace written to {trace_out}\n"
+
+    def test_non_object_jsonl_row_is_data_error(self, fixture, capsys):
+        assert cli.main(["eval", "--config", fixture["config"]]) == 0
+        with open(fixture["traces"], "a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")
+        capsys.readouterr()
+        code = cli.main(["trace", "--file", fixture["traces"], "--claim-id", "gph02"])
+        assert code == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == f"data error: {fixture['traces']}:21: not a JSON object\n"
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "[1, 2]\n", "7\n", '"trace"'])
+    def test_json_that_is_not_an_object_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "t.json"
+        path.write_text(content)
+        assert cli.main(["trace", "--file", str(path)]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == f"data error: {path}:1: not a JSON object\n"
+
+    @pytest.mark.parametrize("claim_id", [None, "a", "zzz"])
+    def test_object_without_trace_fields_is_data_error(self, tmp_path, capsys, claim_id):
+        path = tmp_path / "t.json"
+        path.write_text('{"claim_id": "a"}')
+        argv = ["trace", "--file", str(path)] + (["--claim-id", claim_id] if claim_id else [])
+        assert cli.main(argv) == cli.EXIT_DATA == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:1: not a graphfc trace (KeyError('final'))")
+
+    @pytest.mark.parametrize("damage", [
+        lambda row: row.pop("final"),
+        lambda row: row["paths"][0].pop("label"),
+        lambda row: row["paths"][0]["judgments"][0].pop("evidence_index"),
+        lambda row: row.update(strategy="GraphCheck"),
+        lambda row: row.update(paths=3),
+    ])
+    def test_eval_row_missing_a_field_is_data_error(self, fixture, capsys, damage):
+        assert cli.main(["eval", "--config", fixture["config"]]) == 0
+        rows = [json.loads(line) for line in open(fixture["traces"])]
+        line = next(i for i, row in enumerate(rows) if row["paths"]) + 1
+        damage(rows[line - 1])
+        Path(fixture["traces"]).write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        code = cli.main(["trace", "--file", fixture["traces"], "--claim-id", "dir00"])
+        assert code == cli.EXIT_DATA == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {fixture['traces']}:{line}: not a graphfc trace (")
 
 
 class TestOverrideFlags:

@@ -89,6 +89,41 @@ class TestLoadDataset:
         with pytest.raises(DataError):
             load_dataset(str(path), "generic")
 
+    def test_non_object_row_is_data_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('["a", "b"]\n')
+        with pytest.raises(DataError, match=r"d\.jsonl:1: not a JSON object"):
+            load_dataset(str(path), "generic")
+
+    @pytest.mark.parametrize("key,value", [
+        ("hops", "two"), ("num_hops", [2]), ("hops", {"n": 2}), ("hops", "2.5"),
+    ])
+    def test_hops_that_is_not_an_integer_names_the_row(self, tmp_path, key, value):
+        rows = [
+            {"id": "ok", "text": "x", "label": "Supported", "hops": 2},
+            {"id": "bad", "text": "y", "label": "Supported", key: value},
+        ]
+        with pytest.raises(DataError, match=rf"d\.jsonl:2 \(id=bad\): {key} is not an integer"):
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
+
+    def test_hops_accepts_what_int_accepts(self, tmp_path):
+        rows = [
+            {"id": f"c{i}", "text": "x", "label": "Supported", "hops": value}
+            for i, value in enumerate(["3", 2.0, " 4 ", True])
+        ]
+        records = load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
+        assert [r.hops for r in records] == [3, 2, 4, 1]
+
+    @pytest.mark.parametrize("fmt,row", [
+        ("hover", {"claim": "c", "text": "t", "label": "SUPPORTED"}),
+        ("exfever", {"claim": "c", "text": "t", "label": "REFUTES"}),
+        ("generic", {"claim": "c", "text": "t", "label": "NotSupported"}),
+    ])
+    def test_each_format_reads_its_text_key_first(self, tmp_path, fmt, row):
+        (record,) = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]), fmt)
+        assert record.text == ("t" if fmt == "generic" else "c")
+        assert record.label is (S if fmt == "hover" else N)
+
 
 class TestMacroF1:
     def test_hand_computed_fixture(self):

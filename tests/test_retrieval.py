@@ -31,6 +31,7 @@ from graphfc.retrieval import (
     build_index,
     load_index,
     merge_gold,
+    read_jsonl,
     read_corpus,
     retrieve,
     save_index,
@@ -214,6 +215,13 @@ class TestMergeGold:
     def test_oversized_gold_errors(self, tiny_index):
         with pytest.raises(ValueError):
             merge_gold(search(tiny_index, "x", k=2), self.make(3), k=2)
+
+    def test_repeated_gold_id_counts_once(self, tiny_index):
+        gold = self.make(1)
+        merged = merge_gold(search(tiny_index, "x", k=2), gold * 3, k=2)
+        assert merged.doc_ids[0] == "g0"
+        assert merged.doc_ids.count("g0") == 1
+        assert len(merged) == 2
 
     @given(st.integers(min_value=0, max_value=5))
     @settings(max_examples=examples(20), deadline=None)
@@ -733,3 +741,28 @@ class TestReadCorpus:
         path.write_text('{"id": "a", "title": "A", "text": ""}\n')
         with pytest.raises(CorpusError):
             list(read_corpus(str(path)))
+
+    def test_non_object_row_errors(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "title": "A", "text": "alpha"}\n["x"]\n')
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:2: not a JSON object"):
+            list(read_corpus(str(path)))
+
+
+class TestReadJsonl:
+    def test_yields_line_numbers_and_objects(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": [2]}\n')
+        assert list(read_jsonl(str(path), ValueError)) == [(1, {"a": 1}), (4, {"b": [2]})]
+
+    @pytest.mark.parametrize("line,reason", [
+        ("{not json", "invalid JSON"),
+        ('["x"]', "not a JSON object"),
+        ("7", "not a JSON object"),
+        ("null", "not a JSON object"),
+    ])
+    def test_bad_line_raises_the_given_error(self, tmp_path, line, reason):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n")
+        with pytest.raises(CorpusError, match=rf"rows\.jsonl:2: {reason}"):
+            list(read_jsonl(str(path), CorpusError))
