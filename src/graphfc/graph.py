@@ -206,7 +206,7 @@ def parse_graph(text: str):
     diagnostics: list = []
     latent_defs: dict = {}
     def_lines: dict = {}
-    triples: list = []  # (line, Triplet), or (line, None) for a malformed line
+    triples: list = []  # (line, Triplet); None for a malformed line, which still fills the section
 
     lines = text.split("\n")
     section = "preamble"
