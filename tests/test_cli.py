@@ -242,7 +242,7 @@ class TestEvalCommand:
         )
 
     @pytest.mark.parametrize("script,reason", [
-        ("[{", "invalid JSON|Expecting"),
+        ("[{", "Expecting property name"),
         ('{"equals": "p", "response": "x"}', "a script must be a JSON list of entries"),
         ('[{"equals": "p", "response": "x"}, {"equals": "q"}]',
          "entry 1: not an object with a string 'response'"),
