@@ -388,11 +388,11 @@ class ResponseCache:
     """Append-safe on-disk key/value store for GenResponse values.
 
     Entries are single JSON lines, so concurrent readers can follow a single
-    writer.  A partial trailing line (in-flight write) is ignored on load, and
-    the next entry starts on a new line.  A line that is JSON but not an
-    object with string ``key`` and ``text`` and integer token counts raises
-    CacheFileError naming the file and the line.  With ``path=None`` the
-    cache is memory-only.
+    writer.  A partial trailing line (in-flight write), even one cut inside a
+    multi-byte character, is ignored on load, and the next entry starts on a
+    new line.  A line that is JSON but not an object with string ``key`` and
+    ``text`` and integer token counts raises CacheFileError naming the file
+    and the line.  With ``path=None`` the cache is memory-only.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -407,19 +407,19 @@ class ResponseCache:
 
     def _load(self, path: str) -> None:
         try:
-            handle = open(path, "r", encoding="utf-8")
+            handle = open(path, "rb")
         except FileNotFoundError:
             return
         with handle:
             for lineno, line in enumerate(handle, start=1):
-                self._unterminated = not line.endswith("\n")
+                self._unterminated = not line.endswith(b"\n")
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # partial trailing write
+                    row = json.loads(line.decode("utf-8"))
+                except ValueError:  # a partial trailing write: not UTF-8 or not JSON
+                    continue
                 if not (
                     isinstance(row, dict)
                     and all(type(row.get(name)) is str for name in ("key", "text"))

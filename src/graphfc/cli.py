@@ -179,7 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Print a trace file: one JSON object (from ``verify``) or JSON Lines (from ``eval``)."""
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(args.file, "rb") as handle:
             content = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read trace file: {exc}") from exc
@@ -187,7 +187,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise DataError(f"trace file {args.file} is empty")
     try:
         row = json.loads(content)
-    except json.JSONDecodeError:
+    except ValueError:  # not one JSON document, or not UTF-8: read_jsonl names the line
         row = None
     rows = [(1, row)] if isinstance(row, dict) else read_jsonl(args.file, DataError)
     shown = 0

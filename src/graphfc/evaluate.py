@@ -57,14 +57,19 @@ DATASET_FORMATS = tuple(_FORMATS)
 _NEI_LABELS = {"NOT ENOUGH INFO", "NOT_ENOUGH_INFO", "NEI"}
 
 
-def _gold_ids(row: dict) -> Optional[Tuple]:
-    if "gold_doc_ids" in row and row["gold_doc_ids"] is not None:
+def _gold_ids(row: dict, where: str) -> Optional[Tuple]:
+    for key in ("gold_doc_ids", "supporting_facts"):
+        if row.get(key) is not None and not isinstance(row[key], list):
+            raise DataError(f"{where}: {key} is not a list: {row[key]!r}")
+    if row.get("gold_doc_ids") is not None:
         return tuple(str(x) for x in row["gold_doc_ids"])
     facts = row.get("supporting_facts")
     if facts:
         seen = []
         for fact in facts:
-            title = fact[0] if isinstance(fact, (list, tuple)) else fact
+            title = fact[0] if isinstance(fact, list) and fact else fact
+            if not isinstance(title, str):
+                raise DataError(f"{where}: supporting fact {fact!r} names no title")
             if title not in seen:
                 seen.append(title)
         return tuple(seen)
@@ -110,15 +115,15 @@ def load_dataset(path: str, fmt: str) -> List[ClaimRecord]:
         label = labels.get(raw_label)
         if label is None:
             raise DataError(f"{where}: unknown label {raw_label!r}")
-        if not text:
-            raise DataError(f"{where}: empty claim text")
+        if not (isinstance(text, str) and text):
+            raise DataError(f"{where}: claim text is not a non-empty string: {text!r}")
         records.append(
             ClaimRecord(
                 id=rid,
                 text=text,
                 label=label,
                 hops=_row_hops(row, where),
-                gold_doc_ids=_gold_ids(row),
+                gold_doc_ids=_gold_ids(row, where),
                 pregenerated_graph=row.get("pregenerated_graph"),
             )
         )

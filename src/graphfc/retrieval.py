@@ -4,7 +4,7 @@ The index is built in one pass and immutable afterwards, apart from caches
 that are safe to fill concurrently, so concurrent searches are safe.  Scoring
 is classic Okapi BM25 with the +1-smoothed natural-log IDF.  Every posting's
 query-independent BM25 weight is computed once, when the index is built, and
-stored in the index file (format v4), so loading an index computes nothing
+stored in the index file (format v5), so loading an index computes nothing
 per posting.  Each term's postings are stored in impact order, largest weight
 first (Anh & Moffat, 2006), so the unwalked rest of a list is bounded by its
 next weight.  Search is exact top-k with an early stop in the manner of the
@@ -44,12 +44,20 @@ _PRUNE_SLACK = 1.0 + 1e-9
 _FIRST_CHUNK = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
-# zlib level of the document blob: at 20k documents, level 6 makes it 18%
-# smaller than level 1 but takes five times as long to write.
-_ZLIB_LEVEL = 1
+# How the document streams are compressed.  Deflate's fixed Huffman codes
+# spare each first read the decoding of its stream's own code tables, which
+# cuts the time to inflate a document by a third or more; at 20k documents
+# the streams are 3.5% larger than with dynamic codes.  Level 6 makes them 1%
+# smaller than level 5 and 6% smaller than level 4.
+_ZLIB_LEVEL = 6
+_ZLIB_STRATEGY = zlib.Z_FIXED
+# The shared deflate dictionary fills deflate's 32 KiB window, from the words
+# of at most about this many documents.
+_DICTIONARY_BYTES = 32 * 1024
+_DICTIONARY_SAMPLE = 2000
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -138,45 +146,71 @@ def _little_endian(values: array) -> array:
     return values
 
 
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _deflate_dictionary(documents: Sequence[Document]) -> bytes:
+    """The dictionary every document's stream is primed with: the words of
+    an evenly spaced sample of ``documents``, each followed by a space, most
+    frequent first until ``_DICTIONARY_BYTES``, then reversed, because
+    deflate reaches the end of its window with the shortest distances.
+    Ties go by word, so the same corpus gives the same dictionary."""
+    counts: collections.Counter = collections.Counter()
+    for doc in documents[::max(1, len(documents) // _DICTIONARY_SAMPLE)]:
+        counts.update(doc.title.split())
+        counts.update(doc.text.split())
+    words, size = [], 0
+    for word in sorted(counts, key=lambda word: (-counts[word], word)):
+        entry = _encode(word + " ")
+        if size + len(entry) > _DICTIONARY_BYTES:
+            break
+        words.append(entry)
+        size += len(entry)
+    return b"".join(reversed(words))
+
+
 class DocumentTable(Sequence):
-    """The indexed documents in ordinal order, stored as the UTF-8 bytes of
-    every document's id, title and text, one after another.  A document is
-    built the first time it is read and kept (see ``Index`` on why that is
-    safe from any thread).  ``ids`` holds every doc_id, decoded up front."""
+    """The indexed documents in ordinal order.
 
-    def __init__(self, data: bytes, ends: List[int]):
-        self._data = data
-        self._ends = ends  # field i is data[ends[i]:ends[i + 1]]; three per document
-        self.ids: List[str] = [
-            data[start:end].decode("utf-8", "surrogatepass")
-            for start, end in zip(ends[0::3], ends[1::3])
-        ]
-        self._built: List[Optional[Document]] = [None] * len(self.ids)
+    ``ids`` holds every doc_id.  Each document's title and text are stored
+    as one raw-deflate stream primed with ``dictionary``: inflated, the
+    title's UTF-8 byte length as a little-endian uint32, then the title's
+    and the text's UTF-8 bytes.  ``ends[i]`` is where document i's stream
+    ends in ``streams`` (it starts where document i - 1's ends), and
+    ``crcs[i]`` is the CRC-32 of its inflated bytes.  A document is
+    inflated, checked and built the first time it is read, then kept (see
+    ``Index`` on why that is safe from any thread); a table made by ``of``
+    starts with every document built.  ``source`` names the file in the
+    error raised for a corrupt document.
+    """
 
-    @classmethod
-    def of(cls, documents: Iterable[Document]) -> "DocumentTable":
-        """The table of ``documents``, in order."""
-        fields = [
-            field.encode("utf-8", "surrogatepass")
-            for doc in documents for field in (doc.doc_id, doc.title, doc.text)
-        ]
-        return cls(b"".join(fields), list(itertools.accumulate(map(len, fields), initial=0)))
-
-    def to_bytes(self) -> bytes:
-        """Every field's byte length as a little-endian uint32, then the
-        fields' bytes."""
-        ends = self._ends
-        lengths = array("I", map(int.__sub__, ends[1:], ends[:-1]))
-        return _little_endian(lengths).tobytes() + self._data[ends[0]:]
+    def __init__(self, ids: List[str], dictionary: bytes, ends: array, crcs: array,
+                 streams: bytes, source: str):
+        self.ids = ids
+        self.dictionary = dictionary
+        self.ends = ends
+        self.crcs = crcs
+        self.streams = streams
+        self._source = source
+        self._built: List[Optional[Document]] = [None] * len(ids)
 
     @classmethod
-    def from_bytes(cls, raw: bytes, doc_count: int) -> "DocumentTable":
-        """The table ``to_bytes`` wrote; ValueError if ``raw`` is not one."""
-        lengths = array("I", raw[:12 * doc_count])
-        ends = list(itertools.accumulate(_little_endian(lengths), initial=12 * doc_count))
-        if len(lengths) != 3 * doc_count or ends[-1] != len(raw):
-            raise ValueError("field lengths disagree with the blob")
-        return cls(raw, ends)
+    def of(cls, documents: Sequence[Document]) -> "DocumentTable":
+        """The table of ``documents``, in order, each compressed."""
+        dictionary = _deflate_dictionary(documents)
+        primed = zlib.compressobj(_ZLIB_LEVEL, zlib.DEFLATED, -15, 8, _ZLIB_STRATEGY, zdict=dictionary)
+        streams, crcs = [], array("I")
+        for doc in documents:
+            title = _encode(doc.title)
+            raw = len(title).to_bytes(4, "little") + title + _encode(doc.text)
+            deflater = primed.copy()
+            streams.append(deflater.compress(raw) + deflater.flush())
+            crcs.append(zlib.crc32(raw))
+        ends = array("I", itertools.accumulate(map(len, streams)))
+        table = cls([doc.doc_id for doc in documents], dictionary, ends, crcs, b"".join(streams), "index")
+        table._built = list(documents)
+        return table
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -185,12 +219,21 @@ class DocumentTable(Sequence):
         doc = self._built[ordinal]  # IndexError past either end
         if doc is None:
             ordinal %= len(self._built)
-            data, ends, i = self._data, self._ends, 3 * ordinal
-            doc = self._built[ordinal] = Document(
-                self.ids[ordinal],
-                data[ends[i + 1]:ends[i + 2]].decode("utf-8", "surrogatepass"),
-                data[ends[i + 2]:ends[i + 3]].decode("utf-8", "surrogatepass"),
-            )
+            start = self.ends[ordinal - 1] if ordinal else 0
+            inflater = zlib.decompressobj(-15, zdict=self.dictionary)
+            try:
+                raw = inflater.decompress(self.streams[start:self.ends[ordinal]])
+                if not inflater.eof or inflater.unused_data or zlib.crc32(raw) != self.crcs[ordinal]:
+                    raise ValueError("its CRC-32 does not match")
+                title_end = 4 + int.from_bytes(raw[:4], "little")
+                doc = Document(
+                    self.ids[ordinal],
+                    raw[4:title_end].decode("utf-8", "surrogatepass"),
+                    raw[title_end:].decode("utf-8", "surrogatepass"),
+                )
+            except (zlib.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+                raise CorpusError(f"{self._source}: corrupt document {ordinal} ({exc})") from None
+            self._built[ordinal] = doc
         return doc
 
 
@@ -198,30 +241,32 @@ class Index:
     """Inverted index with BM25 search, one representation whether built or
     loaded.
 
-    ``spans`` maps each term to its ``(start, end)`` slice of the flat
-    ``ordinals`` (uint32) and ``weights`` (float64) arrays: the documents
-    holding the term and the term's query-independent BM25 weight in each,
-    in impact order (descending weight, ties by ascending ordinal), so a
-    term's first weight is its largest.  ``end - start`` is the term's
-    document frequency.  build_index computes the weights with the operations
-    of ``bm25_term_score`` in the same order, so a search only adds them up
-    and its scores are bit-identical to summing ``bm25_term_score`` per
-    posting.  The weights are stored in the index file, so they are fixed at
-    build time.
+    ``terms`` numbers every term, and term i's postings are the slice
+    ``bounds[i]:bounds[i + 1]`` (its ``span``) of the flat ``ordinals``
+    (uint32) and ``weights`` (float64) arrays: the documents holding the term
+    and the term's query-independent BM25 weight in each, in impact order
+    (descending weight, ties by ascending ordinal), so a term's first weight
+    is its largest.  ``end - start`` is the term's document frequency.
+    build_index computes the weights with the operations of
+    ``bm25_term_score`` in the same order, so a search only adds them up and
+    its scores are bit-identical to summing ``bm25_term_score`` per posting.
+    The weights are stored in the index file, so they are fixed at build
+    time.
 
     The index is immutable after construction apart from two caches: the
     ordinal -> weight dicts ``postings`` builds for a term the first time the
-    term is used, and the documents ``documents`` builds when first read.
+    term is used, and the documents ``documents`` inflates when first read.
     Filling them is idempotent: two threads touching a term or a document at
     once build equal values and either may keep its own, so concurrent
     searches are safe.
     """
 
-    def __init__(self, documents: DocumentTable, spans, ordinals, weights, k1, b, avg_doc_length):
+    def __init__(self, documents: DocumentTable, terms, bounds, ordinals, weights, k1, b, avg_doc_length):
         self.documents = documents
         if not documents:
             raise CorpusError("index has no documents")
-        self.spans: dict = spans  # term -> (start, end) in ordinals and weights
+        self.terms: dict = terms  # term -> its number
+        self.bounds: array = bounds  # uint32: 0, then each term's end in ordinals and weights
         self.ordinals: array = ordinals
         self.weights: array = weights
         self.k1 = k1
@@ -238,17 +283,23 @@ class Index:
         an ordinal names no document (a corrupt file)."""
         entry = self._postings.get(term)
         if entry is None:
-            span = self.spans.get(term)
+            span = self.span(term)
             if span is None:
                 return None
-            ordinals = self.ordinals[span[0]:span[1]]
-            if max(ordinals) >= self.doc_count:
+            entry = dict(zip(self.ordinals[span[0]:span[1]], self.weights[span[0]:span[1]]))
+            if max(entry) >= self.doc_count:  # the keys, already boxed, are quicker to scan
                 raise CorpusError(
-                    f"corrupt index: term {term!r} names document {max(ordinals)}, "
+                    f"corrupt index: term {term!r} names document {max(entry)}, "
                     f"past the last of {self.doc_count}"
                 )
-            entry = self._postings[term] = dict(zip(ordinals, self.weights[span[0]:span[1]]))
+            self._postings[term] = entry
         return entry
+
+    def span(self, term: str) -> Optional[Tuple[int, int]]:
+        """``term``'s ``(start, end)`` slice of ``ordinals`` and ``weights``,
+        or None for a term no document holds."""
+        number = self.terms.get(term)
+        return None if number is None else (self.bounds[number], self.bounds[number + 1])
 
     def get_document(self, doc_id: str) -> Optional[Document]:
         ordinal = self._by_id.get(doc_id)
@@ -291,13 +342,12 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
     norms = [k1 * (1.0 - b + b * n / avg_doc_length) for n in doc_lengths]
     scale = k1 + 1.0
     idfs: dict = {}  # doc_freq -> idf; most terms of a large vocabulary share a few
-    spans: dict = {}
-    ordinals, weights = array("I"), array("d")
-    for term, (term_ordinals, tfs) in postings.items():
+    bounds, ordinals, weights = array("I", [0]), array("I"), array("d")
+    for term_ordinals, tfs in postings.values():
         idf = idfs.get(len(term_ordinals))
         if idf is None:
             idf = idfs[len(term_ordinals)] = bm25_idf(len(documents), len(term_ordinals))
-        spans[term] = (len(ordinals), len(ordinals) + len(term_ordinals))
+        bounds.append(bounds[-1] + len(term_ordinals))
         # Impact order: a stable sort keeps equal weights in ascending ordinal order.
         ranked = sorted(
             zip([idf * tf * scale / (tf + norms[o]) for o, tf in zip(term_ordinals, tfs)], term_ordinals),
@@ -305,7 +355,8 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
         )
         weights.extend([weight for weight, _ in ranked])
         ordinals.extend([ordinal for _, ordinal in ranked])
-    return Index(DocumentTable.of(documents), spans, ordinals, weights, k1, b, avg_doc_length)
+    terms = dict(zip(postings, itertools.count()))
+    return Index(DocumentTable.of(documents), terms, bounds, ordinals, weights, k1, b, avg_doc_length)
 
 
 def search(index: Index, query: str, k: int) -> EvidenceBundle:
@@ -338,13 +389,13 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = [term for term in tokenize(query) if term in index.spans]
+    terms = [term for term in tokenize(query) if term in index.terms]
     counts = collections.Counter(terms)
     postings = {term: index.postings(term) for term in counts}
     in_query_order = [postings[term] for term in terms]
     ordinals, weights = index.ordinals, index.weights
     # Per term not yet walked to its end: [next position, end, chunk size, multiplicity].
-    cursors = [[*index.spans[term], _FIRST_CHUNK, m] for term, m in counts.items()]
+    cursors = [[*index.span(term), _FIRST_CHUNK, m] for term, m in counts.items()]
 
     def bound(cursor: list) -> float:
         return cursor[3] * weights[cursor[0]]
@@ -419,9 +470,14 @@ def retrieve(index: Index, query: str, k: int, gold_docs: Optional[List[Document
 
 def read_jsonl(path: str, error: Callable[[str], Exception]) -> Iterator[Tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSON Lines
-    file; a line that is not a JSON object raises ``error`` naming the line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    file; a line that is not UTF-8 or not a JSON object raises ``error``
+    naming the line."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
             if not line.strip():
                 continue
             try:
@@ -446,47 +502,60 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v4, one file holding, in this order:
+    """Write the index in format v5, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 4, ``k1``, ``b``, ``doc_count``,
-      ``avg_doc_length``, the ``terms`` and each term's posting ``ends`` (its
-      postings are those from the previous term's end to its own), and the
-      byte length of the document blob, ``documents_bytes``;
+    - one line of JSON header: ``version`` 5, ``k1``, ``b``, ``doc_count``,
+      ``avg_doc_length``, and the byte lengths of the sections whose length
+      nothing else gives: ``terms_bytes``, ``ids_bytes`` and
+      ``dictionary_bytes``;
+    - the terms' UTF-8 bytes, joined by ``\\n`` (no term holds whitespace);
+    - each term's posting end as one little-endian uint32 array: its
+      postings are those from the previous term's end to its own;
     - every posting's ordinal as one little-endian uint32 array, in term order
       and, within a term, in impact order: descending weight, ties by
       ascending ordinal;
     - the postings' BM25 weights as one little-endian float64 array, in the
       same order;
-    - the document blob: zlib-compressed, the byte length of every document's
-      id, title and text as little-endian uint32s, then those fields' UTF-8
-      bytes (DocumentTable.to_bytes).
+    - the doc_ids, in ordinal order, as a zlib-compressed ASCII JSON array;
+    - the deflate dictionary the document streams are primed with;
+    - each document stream's end, then each document's CRC-32, as two
+      little-endian uint32 arrays of ``doc_count`` items;
+    - the document streams, one after another (see DocumentTable).
 
     Term frequencies and document lengths are not stored: the weights are
     all a search reads.  The same index always gives the same bytes.  The
     file is written under a temporary name in the same directory and then
     renamed over ``path``, so a failed write leaves any old file as it was.
     """
-    blob = zlib.compress(index.documents.to_bytes(), _ZLIB_LEVEL)
+    documents = index.documents
+    terms = "\n".join(index.terms).encode("utf-8")
+    ids = zlib.compress(json.dumps(documents.ids).encode("ascii"))
     header = {
         "version": INDEX_VERSION,
         "k1": index.k1,
         "b": index.b,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
-        "terms": list(index.spans),
-        "ends": [end for _, end in index.spans.values()],
-        "documents_bytes": len(blob),
+        "terms_bytes": len(terms),
+        "ids_bytes": len(ids),
+        "dictionary_bytes": len(documents.dictionary),
     }
     partial = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     handle = open(partial, "xb")
     try:
         with handle:
             handle.write(_MAGIC_LINE)
-            handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+            handle.write(json.dumps(header).encode("ascii") + b"\n")
+            handle.write(terms)
+            _little_endian(index.bounds[1:]).tofile(handle)
             _little_endian(index.ordinals).tofile(handle)
             _little_endian(index.weights).tofile(handle)
-            handle.write(blob)
+            handle.write(ids)
+            handle.write(documents.dictionary)
+            _little_endian(documents.ends).tofile(handle)
+            _little_endian(documents.crcs).tofile(handle)
+            handle.write(documents.streams)
         os.replace(partial, path)
     except BaseException:
         os.remove(partial)
@@ -523,13 +592,9 @@ def _read_header(path: str, line: bytes) -> dict:
         raise CorpusError(f"{path}: corrupt index header")
     if header.get("version") != INDEX_VERSION:
         raise _rebuild_error(path, header.get("version"))
-    terms, ends = header.get("terms"), header.get("ends")
-    sizes = [header.get("doc_count"), header.get("documents_bytes")]
+    sizes = [header.get(key) for key in ("doc_count", "terms_bytes", "ids_bytes", "dictionary_bytes")]
     if not (
-        isinstance(terms, list) and isinstance(ends, list) and len(terms) == len(ends)
-        and set(map(type, sizes + ends)) <= {int} and min(sizes) >= 0
-        and all(map(int.__lt__, [0, *ends], ends))  # every term holds a posting
-        and set(map(type, terms)) <= {str} and len(set(terms)) == len(terms)
+        set(map(type, sizes)) <= {int} and min(sizes) >= 0
         and {type(header.get(key)) for key in ("k1", "b", "avg_doc_length")} <= {int, float}
     ):
         raise CorpusError(f"{path}: corrupt index header")
@@ -542,31 +607,60 @@ def load_index(path: str) -> Index:
     Raises CorpusError naming ``path`` for a file that is not a graphfc
     index, for another format version (older files, JSON ones included, must
     be rebuilt), for a file that is truncated, longer than its header says or
-    otherwise corrupt, and for an index with no documents.
+    otherwise corrupt, and for an index with no documents.  No document is
+    inflated here: a corrupt document stream raises CorpusError when that
+    document is first read, and a posting naming no document when its term
+    is first used.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
         if magic != _MAGIC_LINE:  # read the rest only if it may be a JSON index
             raise _foreign_file_error(path, magic + handle.read() if magic[:1] == b"{" else b"")
         header = _read_header(path, handle.readline())
-        postings = header["ends"][-1] if header["ends"] else 0
-        ordinals, weights = array("I"), array("d")
+        file_bytes = os.fstat(handle.fileno()).st_size
+
+        def check_left(size: int) -> None:  # before allocating what a corrupt size asks for
+            if size > file_bytes - handle.tell():
+                raise CorpusError(f"{path}: index file is truncated")
+
+        def read(size: int) -> bytes:
+            check_left(size)
+            return handle.read(size)
+
+        def read_array(typecode: str, count: int) -> array:
+            zero = array(typecode, [0])
+            check_left(count * zero.itemsize)
+            values = zero * count
+            handle.readinto(values)  # in place: fromfile reads a copy first, 5x slower here
+            return _little_endian(values)
+
         try:
-            ordinals.fromfile(handle, postings)
-            weights.fromfile(handle, postings)
-        except (EOFError, ValueError):  # ValueError: it ends inside an item
-            raise CorpusError(f"{path}: index file is truncated") from None
-        blob = handle.read(header["documents_bytes"])
-        if len(blob) < header["documents_bytes"]:
-            raise CorpusError(f"{path}: index file is truncated")
+            terms_blob = read(header["terms_bytes"]).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorpusError(f"{path}: corrupt term list") from None
+        terms = terms_blob.split("\n") if terms_blob else []
+        bounds = array("I", [0]) + read_array("I", len(terms))
+        if not all(map(operator.lt, bounds, itertools.islice(bounds, 1, None))):
+            raise CorpusError(f"{path}: corrupt term list")  # a term without postings
+        ordinals = read_array("I", bounds[-1])
+        weights = read_array("d", bounds[-1])
+        ids_blob = read(header["ids_bytes"])
+        try:
+            ids = json.loads(zlib.decompress(ids_blob))
+        except (zlib.error, ValueError):
+            ids = None
+        if not (isinstance(ids, list) and len(ids) == header["doc_count"] and set(map(type, ids)) <= {str}):
+            raise CorpusError(f"{path}: corrupt doc_id list")
+        dictionary = read(header["dictionary_bytes"])
+        document_ends = read_array("I", len(ids))
+        crcs = read_array("I", len(ids))
+        streams = read(document_ends[-1] if ids else 0)
         if handle.read(1):
             raise CorpusError(f"{path}: index file is longer than its header says")
-    try:
-        documents = DocumentTable.from_bytes(zlib.decompress(blob), header["doc_count"])
-    except (zlib.error, ValueError) as exc:
-        raise CorpusError(f"{path}: corrupt document blob ({exc})") from None
-    spans = dict(zip(header["terms"], itertools.pairwise([0, *header["ends"]])))
+    numbers = dict(zip(terms, itertools.count()))
+    if len(numbers) != len(terms):
+        raise CorpusError(f"{path}: corrupt term list")  # a term listed twice
     return Index(
-        documents, spans, _little_endian(ordinals), _little_endian(weights),
-        header["k1"], header["b"], header["avg_doc_length"],
+        DocumentTable(ids, dictionary, document_ends, crcs, streams, path), numbers, bounds,
+        ordinals, weights, header["k1"], header["b"], header["avg_doc_length"],
     )

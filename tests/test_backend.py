@@ -134,6 +134,19 @@ class TestCachedBackend:
         assert reloaded.get("k3") == GenResponse("v3", 1, 1)
         assert reloaded.get("k2") is None
 
+    def test_entry_cut_inside_a_character_is_ignored(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResponseCache(str(path)).put("k1", GenResponse("café ☕", 1, 1))
+        with open(path, "ab") as handle:
+            handle.write('{"key": "k2", "text": "☕'.encode()[:-1])  # a killed write
+        store = ResponseCache(str(path))
+        assert store.get("k1") == GenResponse("café ☕", 1, 1)
+        assert store.get("k2") is None
+        store.put("k3", GenResponse("v3", 1, 1))
+        reloaded = ResponseCache(str(path))
+        assert [reloaded.get(key).text for key in ("k1", "k3")] == ["café ☕", "v3"]
+        assert path.read_bytes().endswith(b'\n{"key": "k3", "text": "v3", "input_tokens": 1, "output_tokens": 1}\n')
+
     def test_entry_after_an_unterminated_row_survives_a_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         row = {"key": "k2", "text": "v2", "input_tokens": 1, "output_tokens": 1}

@@ -13,7 +13,7 @@ from graphfc import cli
 from graphfc.evaluate import macro_f1
 
 from clifixtures import build_eval_fixture, make_claims
-from test_retrieval import set_ordinal_top_bytes
+from test_retrieval import set_document_crcs, set_ordinal_top_bytes
 
 
 # Each override flag of ``eval``: its argument, a valid value and the value
@@ -90,6 +90,15 @@ class TestIndexCommand:
         assert code == cli.EXIT_DATA == 2
         assert capsys.readouterr().err == f"data error: {corpus}:1: not a JSON object\n"
 
+    def test_corpus_line_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"id": "a", "title": "A", "text": "alpha"}\n{"id": "b", "title": "\xff"}\n')
+        code = cli.main([
+            "index", "--corpus", str(corpus), "--index", str(tmp_path / "i.json"),
+        ])
+        assert code == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith(f"data error: {corpus}:2: not UTF-8 (")
+
     def test_truncated_index_is_data_error(self, fixture, capsys):
         with open(fixture["index"], "r+b") as handle:
             handle.truncate(os.path.getsize(fixture["index"]) // 2)
@@ -106,6 +115,14 @@ class TestIndexCommand:
         set_ordinal_top_bytes(Path(fixture["index"]))
         assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
         assert capsys.readouterr().err.startswith("data error: corrupt index: term ")
+
+    def test_corrupt_documents_fail_eval_and_verify_as_data_error(self, fixture, capsys):
+        set_document_crcs(Path(fixture["index"]))
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt document ")
+        code = cli.main(["verify", "--config", fixture["config"], "--claim-id", "dir00"])
+        assert code == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt document ")
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exit_info:
@@ -230,6 +247,12 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"data error: {fixture['dataset']}:21: not a JSON object\n"
         )
+
+    def test_dataset_line_that_is_not_utf8_is_data_error(self, fixture, capsys):
+        with open(fixture["dataset"], "ab") as handle:
+            handle.write(b'{"id": "x", "text": "caf\xff", "label": "Supported"}\n')
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['dataset']}:21: not UTF-8 (")
 
     def test_hops_that_is_not_an_integer_is_data_error(self, fixture, capsys):
         rows = [json.loads(line) for line in open(fixture["dataset"])]
@@ -363,6 +386,14 @@ class TestTraceCommand:
         code = cli.main(["trace", "--file", fixture["traces"], "--claim-id", "gph02"])
         assert code == cli.EXIT_DATA == 2
         assert capsys.readouterr().err == f"data error: {fixture['traces']}:21: not a JSON object\n"
+
+    def test_trace_line_that_is_not_utf8_is_data_error(self, fixture, capsys):
+        assert cli.main(["eval", "--config", fixture["config"]]) == 0
+        with open(fixture["traces"], "ab") as handle:
+            handle.write(b'{"claim_id": "\xff"}\n')
+        capsys.readouterr()
+        assert cli.main(["trace", "--file", fixture["traces"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['traces']}:21: not UTF-8 (")
 
     @pytest.mark.parametrize("content", ["[1, 2]", "[1, 2]\n", "7\n", '"trace"'])
     def test_json_that_is_not_an_object_is_data_error(self, tmp_path, capsys, content):

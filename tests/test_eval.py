@@ -106,6 +106,33 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=rf"d\.jsonl:2 \(id=bad\): {key} is not an integer"):
             load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
 
+    @pytest.mark.parametrize("key,value", [
+        ("gold_doc_ids", 5), ("gold_doc_ids", "d1"), ("gold_doc_ids", {"d1": 1}),
+        ("supporting_facts", 3), ("supporting_facts", "Doc A"),
+    ])
+    def test_gold_ids_that_are_not_a_list_name_the_row(self, tmp_path, key, value):
+        rows = [
+            {"id": "ok", "text": "x", "label": "Supported", key: ["d1"]},
+            {"id": "bad", "text": "y", "label": "Supported", key: value},
+        ]
+        with pytest.raises(DataError, match=rf"d\.jsonl:2 \(id=bad\): {key} is not a list"):
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
+
+    @pytest.mark.parametrize("fact", [[], [5, 0], 5, None, {"title": "Doc A"}])
+    def test_supporting_fact_without_a_title_names_the_row(self, tmp_path, fact):
+        rows = [{"uid": "bad", "claim": "x", "label": "SUPPORTED", "supporting_facts": [["Doc A", 0], fact]}]
+        with pytest.raises(DataError, match=r"d\.jsonl:1 \(id=bad\): supporting fact .* names no title"):
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "hover")
+
+    @pytest.mark.parametrize("text", [5, ["a claim"], {"t": "a claim"}, "", None])
+    def test_claim_text_that_is_not_a_non_empty_string_names_the_row(self, tmp_path, text):
+        rows = [
+            {"id": "ok", "text": "x", "label": "Supported"},
+            {"id": "bad", "text": text, "label": "Supported"},
+        ]
+        with pytest.raises(DataError, match=r"d\.jsonl:2 \(id=bad\): claim text is not a non-empty string"):
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
+
     def test_hops_accepts_what_int_accepts(self, tmp_path):
         rows = [
             {"id": f"c{i}", "text": "x", "label": "Supported", "hops": value}

@@ -509,12 +509,12 @@ class TestPersistence:
 
     def test_empty_index_is_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
-        blob = zlib.compress(b"")
+        ids = zlib.compress(b"[]")
         header = {
-            "version": 4, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
-            "terms": [], "ends": [], "documents_bytes": len(blob),
+            "version": 5, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
+            "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0,
         }
-        path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + blob)
+        path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + ids)
         with pytest.raises(CorpusError, match="index has no documents"):
             load_index(str(path))
 
@@ -547,8 +547,16 @@ class TestPersistence:
     def test_newer_version_is_rejected(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        rewrite_header(path, version=5)
-        with pytest.raises(CorpusError, match="version 5 .*re-run `graphfc index`"):
+        rewrite_header(path, version=6)
+        with pytest.raises(CorpusError, match="version 6 .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    def test_version_4_file_is_rejected(self, tmp_path, tiny_index):
+        # v4 kept the terms in the header and the documents in one zlib blob.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=4)
+        with pytest.raises(CorpusError, match="version 4 .*re-run `graphfc index`"):
             load_index(str(path))
 
     def test_version_3_file_is_rejected(self, tmp_path, tiny_index):
@@ -563,7 +571,8 @@ class TestPersistence:
     @settings(max_examples=examples(50), deadline=None)
     def test_postings_are_stored_in_impact_order(self, docs):
         for index in built_and_loaded(docs):
-            for term, (start, end) in index.spans.items():
+            for term in index.terms:
+                start, end = index.span(term)
                 stored = list(zip(index.weights[start:end], index.ordinals[start:end]))
                 assert stored == sorted(stored, key=lambda p: (-p[0], p[1]))
                 assert list(index.postings(term).items()) == [(o, w) for w, o in stored]
@@ -576,14 +585,14 @@ class TestPersistence:
 
         def fail_on_the_weights(values):
             calls.append(values)
-            if len(calls) == 2:  # the magic line, header and ordinals are written
+            if len(calls) == 3:  # everything up to the term ends and the ordinals is written
                 raise OSError("disk full")
             return values
 
         monkeypatch.setattr(retrieval, "_little_endian", fail_on_the_weights)
         with pytest.raises(OSError, match="disk full"):
             save_index(tiny_index, str(path))
-        assert len(calls) == 2
+        assert [values.typecode for values in calls] == ["I", "I", "d"]
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["index"]
         monkeypatch.undo()
@@ -603,14 +612,27 @@ class TestPersistence:
         docs = [
             Document("id\x00nul", "Café ☕", "an emoji 🎉, a lone surrogate \ud800 and a NUL \x00."),
             Document("d2", "", "plain"),
+            Document("lone \udfff\n", "a NUL \x00, a lone \ud800 and\na newline", "text"),
         ]
         index = build_index(docs)
         loaded = round_trip(index)
         assert list(loaded.documents) == list(index.documents) == docs
         assert loaded.documents[-1] == docs[-1]
         assert loaded.get_document("id\x00nul") == docs[0]
+        assert loaded.get_document("lone \udfff\n") == docs[2]
         with pytest.raises(IndexError):
-            loaded.documents[2]
+            loaded.documents[3]
+
+    def test_load_builds_and_inflates_no_document(self, tmp_path):
+        path = tmp_path / "index"
+        save_index(build_index(TINY), str(path))
+        with mock.patch.object(retrieval, "Document", side_effect=AssertionError("built")), \
+                mock.patch.object(retrieval.zlib, "decompressobj", side_effect=AssertionError("inflated")):
+            loaded = load_index(str(path))
+        with mock.patch.object(retrieval.zlib, "decompressobj", wraps=zlib.decompressobj) as inflaters:
+            assert loaded.documents[1] == loaded.documents[1] == TINY[1]
+            assert loaded.get_document("d2") == TINY[1]
+            assert inflaters.call_count == 1  # on the first read only
 
     def test_truncated_file_is_rejected(self, tmp_path, tiny_index):
         path = tmp_path / "index"
@@ -631,30 +653,64 @@ class TestPersistence:
     def test_header_lengths_must_match_the_file(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        header = json.loads(path.read_bytes().split(b"\n", 2)[1])
-        terms, ends, blob_bytes = header["terms"], header["ends"], header["documents_bytes"]
+        header, _ = index_sections(path.read_bytes())
         for changes, problem in (
-            ({"terms": terms[:-1], "ends": ends[:-1]}, "longer than its header says"),
-            ({"ends": ends[:-1] + [ends[-1] + 1]}, "truncated|corrupt document blob"),
-            ({"documents_bytes": blob_bytes - 1}, "longer than its header says"),
-            ({"documents_bytes": blob_bytes + 1}, "truncated"),
-            ({"ends": ends[:-1]}, "corrupt index header"),
-            ({"ends": [ends[0]] + ends[:-1]}, "corrupt index header"),
-            ({"doc_count": header["doc_count"] + 1}, "field lengths disagree"),
+            ({"doc_count": header["doc_count"] + 1}, "corrupt doc_id list"),
+            ({"doc_count": header["doc_count"] - 1}, "corrupt doc_id list"),
+            ({"ids_bytes": header["ids_bytes"] - 1}, "corrupt doc_id list"),
+            ({"terms_bytes": header["terms_bytes"] + 10 ** 12}, "index file is truncated"),
+            ({"dictionary_bytes": -1}, "corrupt index header"),
+            ({"doc_count": "3"}, "corrupt index header"),
         ):
             save_index(tiny_index, str(path))
             rewrite_header(path, **changes)
-            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: .*({problem})"):
+            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: {problem}"):
                 load_index(str(path))
+        save_index(tiny_index, str(path))
+        with open(path, "ab") as handle:
+            handle.write(b"\0")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: index file is longer than its header says"):
+            load_index(str(path))
 
-    def test_corrupt_document_blob_is_rejected(self, tmp_path, tiny_index):
+    def test_term_list_is_checked(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        data = bytearray(path.read_bytes())
-        data[-6:] = bytes(6)  # the stream's last bytes, its checksum among them
-        path.write_bytes(bytes(data))
-        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt document blob"):
-            load_index(str(path))
+        data = path.read_bytes()
+        _, sections = index_sections(data)
+        terms_at, ends_at = sections["terms"][0], sections["ends"][0]
+        terms = data[slice(*sections["terms"])].split(b"\n")
+        ends = array("I", data[slice(*sections["ends"])])
+        z = terms.index(b"z")
+        for position, replacement in (
+            (ends_at, bytes(4)),  # the first term holds no posting
+            (ends_at + 4, data[ends_at:ends_at + 4]),  # the second term holds no posting
+            (ends_at + 4 * (len(ends) - 1), bytes(4)),  # the ends decrease
+            (terms_at + len(b"\n".join(terms[:z])) + 1, b"x"),  # "z" becomes a second "x"
+            (terms_at, b"\xff"),  # not UTF-8
+        ):
+            corrupt = bytearray(data)
+            corrupt[position:position + len(replacement)] = replacement
+            path.write_bytes(bytes(corrupt))
+            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt term list"):
+                load_index(str(path))
+
+    @pytest.mark.parametrize("section", ["streams", "crcs"])
+    def test_corrupt_document_is_rejected_on_first_read(self, tmp_path, section):
+        path = tmp_path / "index"
+        save_index(build_index(TINY), str(path))
+        data = path.read_bytes()
+        _, sections = index_sections(data)
+        for ordinal in range(len(TINY)):
+            corrupt = bytearray(data)
+            offset = document_start(data, sections, ordinal) if section == "streams" else 4 * ordinal
+            corrupt[sections[section][0] + offset] ^= 0x20
+            path.write_bytes(bytes(corrupt))
+            loaded = load_index(str(path))  # no document is read at load
+            for _ in range(2):  # a failed first read keeps nothing
+                with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt document {ordinal} "):
+                    loaded.documents[ordinal]
+            others = [o for o in range(len(TINY)) if o != ordinal]
+            assert [loaded.documents[o] for o in others] == [TINY[o] for o in others]
 
     def test_out_of_range_ordinal_is_rejected_on_first_use(self, tmp_path, tiny_index):
         path = tmp_path / "index"
@@ -675,14 +731,58 @@ def rewrite_header(path, **changes):
     path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), rest]))
 
 
+def index_sections(data: bytes):
+    """The header of a saved index and each section's ``(start, end)`` byte
+    offsets in ``data``, read independently of load_index."""
+    header_start = len(b"graphfc-index\n")
+    header_end = data.index(b"\n", header_start) + 1
+    header = json.loads(data[header_start:header_end])
+    sections, at = {}, header_end
+
+    def section(name, size):
+        nonlocal at
+        sections[name] = (at, at + size)
+        at += size
+        return data[at - 4:at]
+
+    def uint32(raw):
+        return int.from_bytes(raw, "little")
+
+    terms = data[header_end:header_end + header["terms_bytes"]]
+    section("terms", len(terms))
+    postings = uint32(section("ends", 4 * len(terms.split(b"\n"))))
+    section("ordinals", 4 * postings)
+    section("weights", 8 * postings)
+    section("ids", header["ids_bytes"])
+    section("dictionary", header["dictionary_bytes"])
+    streams = uint32(section("document_ends", 4 * header["doc_count"]))
+    section("crcs", 4 * header["doc_count"])
+    section("streams", streams)
+    assert at == len(data)
+    return header, sections
+
+
+def document_start(data: bytes, sections: dict, ordinal: int) -> int:
+    """Where document ``ordinal``'s stream starts among the streams."""
+    at = sections["document_ends"][0] + 4 * (ordinal - 1)
+    return int.from_bytes(data[at:at + 4], "little") if ordinal else 0
+
+
 def set_ordinal_top_bytes(path, value: int = 0xFF):
     """Set the most significant byte of every posting ordinal in a saved
-    index to ``value``; the header, the weights and the documents stay."""
-    magic, header, rest = path.read_bytes().split(b"\n", 2)
-    postings = json.loads(header)["ends"][-1]
-    rest = bytearray(rest)
-    rest[3:4 * postings:4] = bytes([value]) * postings  # uint32, little-endian
-    path.write_bytes(b"\n".join([magic, header, bytes(rest)]))
+    index to ``value``; everything else stays."""
+    data = bytearray(path.read_bytes())
+    start, end = index_sections(bytes(data))[1]["ordinals"]
+    data[start + 3:end:4] = bytes([value]) * ((end - start) // 4)  # uint32, little-endian
+    path.write_bytes(bytes(data))
+
+
+def set_document_crcs(path, value: int = 0):
+    """Set every document's CRC-32 in a saved index to ``value``."""
+    data = bytearray(path.read_bytes())
+    start, end = index_sections(bytes(data))[1]["crcs"]
+    data[start:end] = value.to_bytes(4, "little") * ((end - start) // 4)
+    path.write_bytes(bytes(data))
 
 
 class TestConcurrentFirstTouch:
@@ -715,6 +815,35 @@ class TestConcurrentFirstTouch:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
                 assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_threads_reading_documents_of_a_fresh_index_agree(self, tmp_path):
+        docs = [Document(f"d{i:03d}", f"title {i}", f"text {i} " * (i % 7 + 1)) for i in range(500)]
+        path = tmp_path / "index"
+        save_index(build_index(docs), str(path))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # each round reads every document of a fresh index first
+                index = load_index(str(path))
+                start = threading.Barrier(4, timeout=30)
+                results = [None] * 4
+
+                def run(slot):
+                    order = list(range(len(docs)))[slot % 2::2] + list(range(len(docs)))[1 - slot % 2::2]
+                    start.wait()
+                    read = {ordinal: index.documents[ordinal] for ordinal in order}
+                    results[slot] = [read[ordinal] for ordinal in range(len(docs))]
+
+                threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [docs] * 4
+                assert list(index.documents) == docs
         finally:
             sys.setswitchinterval(switch)
 
