@@ -12,16 +12,19 @@ reach a backend.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import random
+import select
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -127,14 +130,14 @@ def approx_token_count(text: str) -> int:
     return len(text.split())
 
 
-def _read_completion(response: requests.Response) -> tuple:
+def _read_completion(body: bytes) -> tuple:
     """(text, prompt tokens, completion tokens) of a 200 chat-completions body.
 
     Raises ValueError when the body is not JSON, lacks ``choices[0]`` or
     holds a completion text that is not a string; the caller retries such a
     response like a failed request.
     """
-    payload = response.json()  # requests' JSONDecodeError is a ValueError
+    payload = json.loads(body)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
     try:
         choice = payload["choices"][0]
         text = choice.get("message", {}).get("content")
@@ -150,17 +153,30 @@ def _read_completion(response: requests.Response) -> tuple:
 
 def _retryable(status: int) -> bool:
     """Whether a non-200 status can succeed on a later attempt."""
-    return status in (408, 429) or not 400 <= status < 500
+    return status in (408, 429) or status >= 500
 
 
-def _retry_after(response: requests.Response, cap: float) -> Optional[float]:
+def _retry_after(status: int, headers: http.client.HTTPMessage, cap: float) -> Optional[float]:
     """The seconds a 429 or 503 response's ``Retry-After`` header asks to
     wait, capped at ``cap``; None for other statuses, no header, or its
     HTTP-date form."""
-    value = response.headers.get("Retry-After", "").strip()
-    if response.status_code in (429, 503) and value.isascii() and value.isdigit():
+    value = (headers.get("Retry-After") or "").strip()
+    if status in (429, 503) and value.isascii() and value.isdigit():
         return min(float(value), cap)
     return None
+
+
+def split_http_url(url: str, name: str = "endpoint") -> urllib.parse.SplitResult:
+    """The parts of ``url``; ValueError, naming it as ``name``, unless it is an
+    http or https URL with a host and, if it gives one, a port from 1 to 65535."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+    except ValueError:  # a port that is not a number, or one out of range
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an http or https URL with a host, got {url!r}")
+    return parts
 
 
 class HttpBackend:
@@ -169,9 +185,15 @@ class HttpBackend:
     Sends ``{"model", "messages", "max_tokens", "temperature", "top_p"}`` and
     reads the first choice's message content plus the usage block.  Connection
     errors, malformed 200 bodies, 408, 429 and 5xx are retried with jittered
-    exponential backoff up to ``max_attempts``; any other 4xx fails at once.
-    A 429 or 503 whose ``Retry-After`` header gives delta-seconds waits that
-    long instead of the backoff, at most ``timeout`` seconds.
+    exponential backoff up to ``max_attempts``; any other status, a redirect
+    included, fails at once.  A 429 or 503 whose ``Retry-After`` header gives
+    delta-seconds waits that long instead of the backoff, at most ``timeout``
+    seconds.
+
+    Each thread that calls ``complete`` keeps one keep-alive connection of
+    its own, opened on its first request.  An https endpoint is verified
+    against the system's trust store.  ``http_proxy``, ``https_proxy`` and
+    ``no_proxy`` are read from the environment when the backend is built.
     """
 
     def __init__(
@@ -183,10 +205,7 @@ class HttpBackend:
         max_attempts: int = 3,
         retry_base_delay: float = 1.0,
         ledger: Optional[CostLedger] = None,
-        session: Optional[requests.Session] = None,
     ):
-        """``session``, when given, serves every thread; otherwise each thread
-        that calls ``complete`` opens a ``requests.Session`` of its own."""
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -194,18 +213,53 @@ class HttpBackend:
         self.max_attempts = max_attempts
         self.retry_base_delay = retry_base_delay
         self.ledger = ledger
-        self._injected_session = session
         self._local = threading.local()
         self._rng = random.Random()
 
-    def session(self) -> requests.Session:
-        """The injected session, or the calling thread's own."""
-        if self._injected_session is not None:
-            return self._injected_session
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+        url = split_http_url(endpoint)
+        https = url.scheme == "https"
+        authority = url.netloc.rpartition("@")[2]  # host[:port], without credentials
+        self._connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._address = (url.hostname, url.port or (443 if https else 80))
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._tunnel: Optional[tuple] = None
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(authority):
+            proxy_url = split_http_url(
+                proxy if "://" in proxy else "http://" + proxy, f"{url.scheme}_proxy"
+            )
+            proxy_headers = {}
+            if proxy_url.username:
+                unquote = urllib.parse.unquote
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode()).decode()
+                )
+            if https:  # a CONNECT tunnel through the proxy, TLS inside it
+                self._tunnel = (*self._address, proxy_headers)
+            else:  # the proxy forwards a request whose target is the whole URL
+                self._target = f"http://{authority}{self._target}"
+                self._headers.update(proxy_headers)
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection.  A connection that the server
+        closed while it sat idle is closed here, so that the next request on
+        it reconnects instead of failing."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(*self._address, timeout=self.timeout)
+            if self._tunnel is not None:
+                connection.set_tunnel(*self._tunnel)
+            self._local.connection = connection
+        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # Nothing is due between requests: readable means the server
+            # hung up, or sent bytes that no request asked for.
+            connection.close()
+        return connection
 
     def _payload(self, req: GenRequest) -> dict:
         temperature = 0.0 if req.decode_mode == GREEDY else req.temperature
@@ -218,14 +272,12 @@ class HttpBackend:
         }
 
     def complete(self, req: GenRequest) -> GenResponse:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(self._payload(req)).encode("utf-8")
         last_status: Optional[int] = None
         last_body = ""
+        location = ""  # where a failing redirect pointed
         attempts = 0
         wait: Optional[float] = None  # what the last response's Retry-After asked for
-        session = self.session()
         for attempt in range(self.max_attempts):
             if attempt:
                 if wait is None:
@@ -234,31 +286,28 @@ class HttpBackend:
                 time.sleep(wait)
             wait = None
             attempts += 1
+            connection = self._connection()
             try:
-                response = session.post(
-                    self.endpoint,
-                    json=self._payload(req),
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
+                connection.request("POST", self._target, body, self._headers)
+                response = connection.getresponse()
+                # Read to the end, so that the connection can carry the next request.
+                status, headers, data = response.status, response.headers, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
                 last_status, last_body = None, str(exc)
                 logger.warning("backend request failed (attempt %d): %s", attempt + 1, exc)
                 continue
-            if response.status_code != 200:
-                last_status = response.status_code
-                last_body = response.text[:200]
-                logger.warning(
-                    "backend HTTP %d (attempt %d): %s", last_status, attempt + 1, last_body
-                )
-                if not _retryable(last_status):
+            last_status, last_body = status, data.decode("utf-8", errors="replace")[:200]
+            if status != 200:
+                logger.warning("backend HTTP %d (attempt %d): %s", status, attempt + 1, last_body)
+                if not _retryable(status):
+                    location = headers.get("Location") or ""
                     break
-                wait = _retry_after(response, self.timeout)
+                wait = _retry_after(status, headers, self.timeout)
                 continue
             try:
-                text, input_tokens, output_tokens = _read_completion(response)
+                text, input_tokens, output_tokens = _read_completion(data)
             except ValueError as exc:
-                last_status, last_body = response.status_code, response.text[:200]
                 logger.warning(
                     "backend malformed response (attempt %d): %s", attempt + 1, exc
                 )
@@ -269,7 +318,8 @@ class HttpBackend:
             return result
         raise BackendError(
             f"request failed after {attempts} attempt{'s' if attempts != 1 else ''}"
-            + (f" (HTTP {last_status})" if last_status else ""),
+            + (f" (HTTP {last_status})" if last_status else "")
+            + (f", Location: {location}" if location else ""),
             status=last_status,
             body=last_body,
         )

@@ -25,6 +25,7 @@ from .backend import (
     ResponseCache,
     ScriptedBackend,
     scripted_from_file,
+    split_http_url,
 )
 from .infill import PathBudget
 from .verdict import PipelineOptions
@@ -162,6 +163,11 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
             raise ConfigError(
                 f"backend {role}: {name} must be one of {allowed}, got {getattr(section, name)!r}"
             )
+    if section.type == "http":
+        try:
+            split_http_url(section.endpoint)
+        except ValueError as exc:
+            raise ConfigError(f"backend {role}: {exc}") from None
     return section
 
 
@@ -236,19 +242,20 @@ def _build_one(role: str, section: BackendConfig, ledger: Optional[CostLedger], 
                 backend = scripted_from_file(section.script, model=model, ledger=ledger)
             except ValueError as exc:  # invalid JSON or a malformed entry
                 raise ConfigError(f"backend {role}: script {section.script}: {exc}") from exc
-    else:  # "http"; load_config has checked the type
-        if not section.endpoint:
-            raise ConfigError(f"backend {role}: endpoint is required for type=http")
+    else:  # "http"; load_config has checked the type and the endpoint
         api_key = os.environ.get(section.api_key_env, "") if section.api_key_env else ""
-        backend = HttpBackend(
-            endpoint=section.endpoint,
-            model=section.model,
-            api_key=api_key,
-            timeout=section.timeout,
-            max_attempts=section.max_attempts,
-            retry_base_delay=section.retry_base_delay,
-            ledger=ledger,
-        )
+        try:
+            backend = HttpBackend(
+                endpoint=section.endpoint,
+                model=section.model,
+                api_key=api_key,
+                timeout=section.timeout,
+                max_attempts=section.max_attempts,
+                retry_base_delay=section.retry_base_delay,
+                ledger=ledger,
+            )
+        except ValueError as exc:  # a proxy variable that is not a URL with a host
+            raise ConfigError(f"backend {role}: {exc}") from None
     if section.cache_path:
         if section.cache_path not in caches:
             caches[section.cache_path] = ResponseCache(section.cache_path)

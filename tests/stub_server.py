@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -18,17 +19,33 @@ class ErrorWithHeaders:
     headers: Dict[str, str]
 
 
+@dataclass(frozen=True)
+class ThenHangUp:
+    """Serve ``action``, then close the connection without having announced
+    it with ``Connection: close``, as a server does to an idle keep-alive
+    connection."""
+
+    action: object
+
+
 class StubServer:
     """Serves canned chat-completions responses with injectable failures.
 
     ``plan(...)`` queues per-request behaviors; each entry is an HTTP error
     status (int), an ``ErrorWithHeaders``, a raw 200 response body (bytes),
-    or a (content, prompt_tokens, completion_tokens) tuple.  When the queue
-    is empty a default 200 response is served.
+    a (content, prompt_tokens, completion_tokens) tuple, or a ``ThenHangUp``
+    around one of these.  When the queue is empty a default 200 response is
+    served.  Connections are HTTP/1.1 keep-alive.  ``requests`` holds each
+    request's JSON body; ``paths`` its request target and ``ports`` the
+    client port of its connection.  ``hung_up`` is set once a ``ThenHangUp``
+    has closed its connection.
     """
 
     def __init__(self):
         self.requests = []
+        self.paths = []
+        self.ports = []
+        self.hung_up = threading.Event()
         self._queue = deque()
         self._lock = threading.Lock()
         self.default = ("stub answer", 7, 3)
@@ -36,12 +53,28 @@ class StubServer:
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Headers and body go out in two writes: without Nagle's delay the
+            # second one does not wait on the client's delayed ACK.
+            disable_nagle_algorithm = True
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")
                 with stub._lock:
                     stub.requests.append(body)
+                    stub.paths.append(self.path)
+                    stub.ports.append(self.client_address[1])
                     action = stub._queue.popleft() if stub._queue else stub.default
+                if isinstance(action, ThenHangUp):
+                    self.respond(action.action)
+                    self.connection.shutdown(socket.SHUT_RDWR)
+                    self.close_connection = True
+                    stub.hung_up.set()
+                else:
+                    self.respond(action)
+
+            def respond(self, action):
                 if isinstance(action, int):
                     action = ErrorWithHeaders(action, {})
                 if isinstance(action, ErrorWithHeaders):

@@ -110,6 +110,30 @@ class TestRequestSettings:
         section = self.load_http(tmp_path, retry_base_delay=0).backends["verification"]
         assert section.retry_base_delay == 0
 
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:8000/v1/chat/completions",  # no scheme
+        "http:/v1",                            # no host
+        "ftp://localhost/v1",
+        "http://localhost:80800/v1",           # a port out of range
+        "",
+    ])
+    def test_endpoint_must_be_an_http_url_with_a_host(self, tmp_path, endpoint, capsys):
+        with pytest.raises(ConfigError, match="verification: endpoint must be an http or https URL"):
+            self.load_http(tmp_path, endpoint=endpoint)
+        path = write_config(tmp_path, {"backends": {"verification": {"type": "http", "endpoint": endpoint}}})
+        assert cli.main(["index", "--config", path]) == cli.EXIT_CONFIG
+        assert "endpoint must be" in capsys.readouterr().err
+        assert self.load_http(tmp_path, endpoint="https://[::1]:8443/v1").backends
+
+    def test_proxy_variable_without_a_host_is_a_config_error(self, tmp_path, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", "http://:3128")
+        backend = {"type": "http", "endpoint": "http://localhost:1/v1"}
+        config = load_config(write_config(tmp_path, {"backends": {"default": backend}}))
+        with pytest.raises(ConfigError, match="graph_construction: http_proxy must be"):
+            build_backends(config)
+
 
 class TestKnownKeysAndValues:
     def test_unknown_top_level_key_is_named(self, tmp_path):
