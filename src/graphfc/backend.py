@@ -1,13 +1,13 @@
 """Text-generation backends: networked HTTP, scripted (for tests/replay),
 and a caching wrapper, plus run-wide cost accounting and the per-claim view.
 
-All backends expose ``model`` and ``complete(GenRequest) -> GenResponse`` and
-are safe to share across threads.  A ``BackendSuite`` holds one backend and
-one generation policy per pipeline role.  ``BackendSuite.counted`` gives each
-claim its own view of the suite, carrying its gold documents and a fresh
-``ClaimMemo``: every completion and retrieval of the claim passes through that
-view, which answers repeats and counts the requests, and their tokens, that
-reach a backend.
+All backends expose ``model``, ``complete(GenRequest) -> GenResponse`` and
+``close()``, and are safe to share across threads.  A ``BackendSuite`` holds
+one backend and one generation policy per pipeline role.
+``BackendSuite.counted`` gives each claim its own view of the suite, carrying
+its gold documents and a fresh ``ClaimMemo``: every completion and retrieval
+of the claim passes through that view, which answers repeats and counts the
+requests, and their tokens, that reach a backend.
 """
 
 from __future__ import annotations
@@ -191,9 +191,10 @@ class HttpBackend:
     seconds.
 
     Each thread that calls ``complete`` keeps one keep-alive connection of
-    its own, opened on its first request.  An https endpoint is verified
-    against the system's trust store.  ``http_proxy``, ``https_proxy`` and
-    ``no_proxy`` are read from the environment when the backend is built.
+    its own, opened on its first request; ``close`` closes them all.  An
+    https endpoint is verified against the system's trust store.
+    ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read from the
+    environment when the backend is built.
     """
 
     def __init__(
@@ -213,7 +214,8 @@ class HttpBackend:
         self.max_attempts = max_attempts
         self.retry_base_delay = retry_base_delay
         self.ledger = ledger
-        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: Dict[threading.Thread, http.client.HTTPConnection] = {}
         self._rng = random.Random()
 
         url = split_http_url(endpoint)
@@ -246,20 +248,34 @@ class HttpBackend:
             self._address = (proxy_url.hostname, proxy_url.port or 80)
 
     def _connection(self) -> http.client.HTTPConnection:
-        """The calling thread's connection.  A connection that the server
-        closed while it sat idle is closed here, so that the next request on
-        it reconnects instead of failing."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._connection_class(*self._address, timeout=self.timeout)
-            if self._tunnel is not None:
-                connection.set_tunnel(*self._tunnel)
-            self._local.connection = connection
-        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+        """The calling thread's connection.  Opening one closes those of the
+        threads that have ended.  A connection that the server closed while
+        it sat idle is closed here, so that the next request on it
+        reconnects instead of failing."""
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._connections.get(thread)
+            if connection is None:
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                connection = self._connection_class(*self._address, timeout=self.timeout)
+                if self._tunnel is not None:
+                    connection.set_tunnel(*self._tunnel)
+                self._connections[thread] = connection
+                return connection
+        if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
             # Nothing is due between requests: readable means the server
             # hung up, or sent bytes that no request asked for.
             connection.close()
         return connection
+
+    def close(self) -> None:
+        """Close every thread's connection, once no request is in flight.  A
+        later request opens a new one."""
+        with self._lock:
+            connections, self._connections = list(self._connections.values()), {}
+        for connection in connections:
+            connection.close()
 
     def _payload(self, req: GenRequest) -> dict:
         temperature = 0.0 if req.decode_mode == GREEDY else req.temperature
@@ -385,6 +401,9 @@ class ScriptedBackend:
             self.ledger.record(req.purpose, self.model, result)
         return result
 
+    def close(self) -> None:
+        """Nothing to release."""
+
 
 # Script matcher keys, each a test of the prompt against the key's value.
 _SCRIPT_MATCHERS = {
@@ -425,13 +444,6 @@ def load_script(path: str) -> List[Registration]:
         matcher = lambda p, ts=tests: all(test(p, v) for test, v in ts)
         registrations.append((matcher, lambda p, r=entry["response"]: r))
     return registrations
-
-
-def scripted_from_file(path: str, model: str = "scripted",
-                       ledger: Optional[CostLedger] = None) -> ScriptedBackend:
-    backend = ScriptedBackend(model=model, ledger=ledger)
-    backend._registrations.extend(load_script(path))
-    return backend
 
 
 class ResponseCache:
@@ -551,6 +563,9 @@ class CachedBackend:
         self.store.put(key, result)
         return result
 
+    def close(self) -> None:
+        self.inner.close()
+
 
 @dataclass(frozen=True)
 class GenPolicy:
@@ -632,6 +647,11 @@ class BackendSuite:
 
     def backend_for(self, purpose: str):
         return getattr(self, purpose)
+
+    def close(self) -> None:
+        """Close the backend of every role."""
+        for purpose in PURPOSES:
+            self.backend_for(purpose).close()
 
     def recall_retrieval(self, fetch: Callable, index, query: str, k: int):
         """``fetch(index, query, k, gold)`` with this view's gold documents,

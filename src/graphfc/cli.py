@@ -119,15 +119,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     claim_id, claim_text, pregenerated, gold_ids = _resolve_claim(args, config)
     index = load_index(config.require_path("index_path"))
     backends, _ = build_backends(config)
-    trace = run_pipeline(
-        claim_text,
-        index,
-        backends,
-        claim_id=claim_id,
-        pregenerated_graph=pregenerated,
-        gold_doc_ids=gold_ids if config.evidence_mode == "open_book_gold" else (),
-        **vars(config.pipeline_options()),
-    )
+    try:
+        trace = run_pipeline(
+            claim_text,
+            index,
+            backends,
+            claim_id=claim_id,
+            pregenerated_graph=pregenerated,
+            gold_doc_ids=gold_ids if config.evidence_mode == "open_book_gold" else (),
+            **vars(config.pipeline_options()),
+        )
+    finally:
+        backends.close()
     row = trace_to_dict(trace)
     print(format_trace_dict(row))
     trace_out = args.trace_out
@@ -135,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         stem = f"trace-{claim_id}.json" if claim_id else "trace.json"
         trace_out = os.path.join(os.path.dirname(config.traces_path) or ".", stem)
     with open(trace_out, "w", encoding="utf-8") as handle:
-        json.dump(row, handle, ensure_ascii=False, sort_keys=True, indent=2)
+        handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
     print(f"trace written to {trace_out}")
     return EXIT_OK
 
@@ -143,27 +146,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     records = load_dataset(config.require_path("dataset"), config.dataset_format)
-    if not records:
-        raise DataError("dataset is empty")
     index = load_index(config.require_path("index_path"))
     ledger = CostLedger(config.prices)
     backends, caches = build_backends(config, ledger)
-    report, traces = run_eval(
-        records,
-        index,
-        backends,
-        gold_mode=config.evidence_mode == "open_book_gold",
-        workers=config.workers,
-        ledger=ledger,
-        **vars(config.pipeline_options()),
-    )
+    try:
+        report, traces = run_eval(
+            records,
+            index,
+            backends,
+            gold_mode=config.evidence_mode == "open_book_gold",
+            workers=config.workers,
+            ledger=ledger,
+            **vars(config.pipeline_options()),
+        )
+    finally:
+        backends.close()
     with open(config.report_path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, ensure_ascii=False, sort_keys=True, indent=2)
         handle.write("\n")
     with open(config.traces_path, "w", encoding="utf-8") as handle:
         for trace in traces:
-            handle.write(json.dumps(trace_to_dict(trace), ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
+            handle.write(json.dumps(trace_to_dict(trace), ensure_ascii=False, sort_keys=True) + "\n")
     print(report.to_table())
     totals = ledger.totals()
     hits = sum(cache.hits for cache in caches.values())
@@ -177,19 +180,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Print a trace file: one JSON object (from ``verify``) or JSON Lines (from ``eval``)."""
+    """Print a JSON Lines trace file, as ``verify`` and ``eval`` write them."""
     try:
-        with open(args.file, "rb") as handle:
-            content = handle.read()
+        rows = list(read_jsonl(args.file, DataError))
     except OSError as exc:
         raise DataError(f"cannot read trace file: {exc}") from exc
-    if not content.strip():
-        raise DataError(f"trace file {args.file} is empty")
-    try:
-        row = json.loads(content)
-    except ValueError:  # not one JSON document, or not UTF-8: read_jsonl names the line
-        row = None
-    rows = [(1, row)] if isinstance(row, dict) else read_jsonl(args.file, DataError)
+    if not rows:
+        raise DataError(f"trace file {args.file} holds no trace")
     shown = 0
     for lineno, row in rows:
         try:
@@ -227,7 +224,7 @@ def build_parser() -> _Parser:
     p_eval.set_defaults(handler=cmd_eval)
 
     p_trace = sub.add_parser("trace", help="pretty-print a saved trace file")
-    p_trace.add_argument("--file", required=True, help="trace JSON or JSONL file")
+    p_trace.add_argument("--file", required=True, help="JSON Lines trace file")
     p_trace.add_argument("--claim-id", dest="claim_id", help="only show this claim")
     p_trace.set_defaults(handler=cmd_trace)
     return parser

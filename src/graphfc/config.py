@@ -24,9 +24,10 @@ from .backend import (
     HttpBackend,
     ResponseCache,
     ScriptedBackend,
-    scripted_from_file,
+    load_script,
     split_http_url,
 )
+from .evaluate import DATASET_FORMATS
 from .infill import PathBudget
 from .verdict import PipelineOptions
 
@@ -95,10 +96,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.evidence_mode not in EVIDENCE_MODES:
-            raise ConfigError(
-                f"evidence_mode must be one of {EVIDENCE_MODES}, got {self.evidence_mode!r}"
-            )
+        for name, allowed in (("evidence_mode", EVIDENCE_MODES),
+                              ("dataset_format", DATASET_FORMATS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         try:
             self.pipeline_options()
         except ValueError as exc:
@@ -232,16 +233,13 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
 
 def _build_one(role: str, section: BackendConfig, ledger: Optional[CostLedger], caches: dict):
     if section.type == "scripted":
-        model = section.model or "scripted"
-        if not section.script:
-            backend = ScriptedBackend(model=model, ledger=ledger)
-        elif not os.path.exists(section.script):
-            raise ConfigError(f"backend {role}: script not found: {section.script}")
-        else:
-            try:
-                backend = scripted_from_file(section.script, model=model, ledger=ledger)
-            except ValueError as exc:  # invalid JSON or a malformed entry
-                raise ConfigError(f"backend {role}: script {section.script}: {exc}") from exc
+        backend = ScriptedBackend(model=section.model or "scripted", ledger=ledger)
+        try:
+            registrations = load_script(section.script) if section.script else []
+        except (OSError, ValueError) as exc:  # no such file, invalid JSON or a malformed entry
+            raise ConfigError(f"backend {role}: script {section.script}: {exc}") from exc
+        for matcher, answer in registrations:
+            backend.register(matcher, answer)
     else:  # "http"; load_config has checked the type and the endpoint
         api_key = os.environ.get(section.api_key_env, "") if section.api_key_env else ""
         try:

@@ -180,9 +180,9 @@ class DocumentTable(Sequence):
     ends in ``streams`` (it starts where document i - 1's ends), and
     ``crcs[i]`` is the CRC-32 of its inflated bytes.  A document is
     inflated, checked and built the first time it is read, then kept (see
-    ``Index`` on why that is safe from any thread); a table made by ``of``
-    starts with every document built.  ``source`` names the file in the
-    error raised for a corrupt document.
+    ``Index`` on why that is safe from any thread), whether the table was
+    made by ``of`` or loaded.  ``source`` names the file in the error raised
+    for a corrupt document.
     """
 
     def __init__(self, ids: List[str], dictionary: bytes, ends: array, crcs: array,
@@ -208,9 +208,7 @@ class DocumentTable(Sequence):
             streams.append(deflater.compress(raw) + deflater.flush())
             crcs.append(zlib.crc32(raw))
         ends = array("I", itertools.accumulate(map(len, streams)))
-        table = cls([doc.doc_id for doc in documents], dictionary, ends, crcs, b"".join(streams), "index")
-        table._built = list(documents)
-        return table
+        return cls([doc.doc_id for doc in documents], dictionary, ends, crcs, b"".join(streams), "index")
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -429,6 +429,7 @@ def test_criterion_10_live_protocol_conformance(capsys):
         assert totals.output_tokens == 38
         assert totals.cost == expected_cost
         assert totals.requests == 2  # failed request contributes no response
+        backend.close()
     finally:
         server.stop()
     with capsys.disabled():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from graphfc import cli
 from graphfc.evaluate import macro_f1
 
 from clifixtures import build_eval_fixture, make_claims
+from stub_server import StubServer
 from test_retrieval import set_document_crcs, set_ordinal_top_bytes
 
 
@@ -323,6 +326,22 @@ class TestEvalCommand:
             "eval", "--config", fixture["config"], "--dataset", str(dataset),
         ]) == 4
 
+    def test_http_backends_are_closed_when_eval_ends(self, fixture, capsys):
+        server = StubServer().start()
+        server.default = ("Supported", 7, 3)
+        try:
+            config = json.loads(Path(fixture["config"]).read_text())
+            config["backends"]["default"].update(type="http", endpoint=server.url)
+            Path(fixture["config"]).write_text(json.dumps(config))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert cli.main(["eval", "--config", fixture["config"], "--pipeline", "direct"]) == 0
+                gc.collect()
+        finally:
+            server.stop()
+        assert server.request_count > 0
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
     def test_gold_mode(self, fixture):
         code = cli.main([
             "eval", "--config", fixture["config"], "--evidence-mode", "open_book_gold",
@@ -377,6 +396,24 @@ class TestTraceCommand:
         tree = capsys.readouterr().out
         assert f"claim {claim_id}: " in tree
         assert printed == tree.removesuffix("\n") + f"trace written to {trace_out}\n"
+
+    def test_indented_single_object_file_is_data_error_at_line_1(self, fixture, tmp_path, capsys):
+        trace_out = tmp_path / "one.json"
+        assert cli.main([
+            "verify", "--config", fixture["config"],
+            "--claim-id", "gph02", "--trace-out", str(trace_out),
+        ]) == 0
+        trace_out.write_text(json.dumps(json.loads(trace_out.read_text()), indent=2))
+        capsys.readouterr()
+        assert cli.main(["trace", "--file", str(trace_out)]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err.startswith(f"data error: {trace_out}:1: invalid JSON (")
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    def test_file_without_a_trace_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "t.jsonl"
+        path.write_text(content)
+        assert cli.main(["trace", "--file", str(path)]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == f"data error: trace file {path} holds no trace\n"
 
     def test_non_object_jsonl_row_is_data_error(self, fixture, capsys):
         assert cli.main(["eval", "--config", fixture["config"]]) == 0

@@ -154,6 +154,15 @@ class TestKnownKeysAndValues:
         with pytest.raises(ConfigError, match="verification.*decode_mode"):
             load_config(path)
 
+    def test_unknown_dataset_format_is_rejected_at_load(self, tmp_path):
+        with pytest.raises(ConfigError, match="dataset_format must be one of .* got 'xml'"):
+            load_config(write_config(tmp_path, {"dataset_format": "xml"}))
+
+    def test_unknown_dataset_format_makes_eval_exit_with_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"dataset_format": "xml"})
+        assert cli.main(["eval", "--config", path]) == cli.EXIT_CONFIG == 1
+        assert "dataset_format must be one of" in capsys.readouterr().err
+
     def test_backend_type_must_be_http_or_scripted(self, tmp_path):
         path = write_config(tmp_path, {"backends": {"selection": {"type": "grpc"}}})
         with pytest.raises(ConfigError, match="selection.*type"):

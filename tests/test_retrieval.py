@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -712,6 +713,16 @@ class TestPersistence:
             others = [o for o in range(len(TINY)) if o != ordinal]
             assert [loaded.documents[o] for o in others] == [TINY[o] for o in others]
 
+    def test_built_index_checks_each_document_on_first_read(self):
+        for ordinal in range(len(TINY)):
+            index = build_index(TINY)  # reads documents the way a loaded index does
+            index.documents.crcs[ordinal] ^= 1
+            for _ in range(2):
+                with pytest.raises(CorpusError, match=f"index: corrupt document {ordinal} "):
+                    index.documents[ordinal]
+            others = [o for o in range(len(TINY)) if o != ordinal]
+            assert [index.documents[o] for o in others] == [TINY[o] for o in others]
+
     def test_out_of_range_ordinal_is_rejected_on_first_use(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
@@ -846,6 +857,19 @@ class TestConcurrentFirstTouch:
                 assert list(index.documents) == docs
         finally:
             sys.setswitchinterval(switch)
+
+
+def test_importing_retrieval_loads_no_backend_or_pipeline():
+    code = (
+        "import sys, graphfc.retrieval; "
+        "print(sorted(name for name in ('graphfc.backend', 'graphfc.verdict') if name in sys.modules))"
+    )
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestReadCorpus:
