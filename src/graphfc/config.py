@@ -262,19 +262,23 @@ def _build_one(role: str, section: BackendConfig, ledger: Optional[CostLedger], 
 
 
 def build_backends(config: RunConfig, ledger: Optional[CostLedger] = None):
-    """Instantiate one backend per pipeline role.
+    """Instantiate one backend per section, shared by the roles it serves.
 
     Returns (BackendSuite, caches) where caches maps cache paths to their
     shared ResponseCache stores.
     """
     caches: Dict[str, ResponseCache] = {}
+    built = {}  # section name -> its backend
     roles = {}
     policies = {}
     for role in PURPOSES:
-        section = config.backends.get(role) or config.backends.get("default")
+        name = role if role in config.backends else "default"
+        section = config.backends.get(name)
         if section is None:
             raise ConfigError(f"no backend configured for role {role!r} (and no default)")
-        roles[role] = _build_one(role, section, ledger, caches)
+        if name not in built:
+            built[name] = _build_one(role, section, ledger, caches)
+        roles[role] = built[name]
         max_new_tokens = section.max_new_tokens
         if max_new_tokens is None:
             max_new_tokens = DEFAULT_POLICIES[role].max_new_tokens

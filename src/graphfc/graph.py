@@ -32,6 +32,9 @@ PREP_TOKEN = "[PREP]"
 # A placeholder in its surface form; group 1 is its index.
 PLACEHOLDER_RE = re.compile(r"\(ENT([1-9][0-9]*)\)")
 _SENTENCE_END = (".", "!", "?")
+# Path sampling ranks the n! orders of n latent entities, and 21! is past the
+# largest population that random.sample accepts (sys.maxsize).
+MAX_LATENT_ENTITIES = 20
 
 
 class UnboundPlaceholderError(ValueError):
@@ -180,6 +183,7 @@ class GraphDiagnostic:
     severity: str  # "error" | "warning"
     kind: str  # malformed_line | undefined_placeholder | empty_section
     #            | duplicate_placeholder | orphan_latent_def | skipped_text
+    #            | too_many_latents
     line: int
     message: str
 
@@ -286,6 +290,10 @@ def parse_graph(text: str):
             message = f"{p.surface} is defined but never used in {TRIPLES_HEADER!r}"
             diagnostics.append(GraphDiagnostic("warning", "orphan_latent_def", at, message))
 
+    if len(latent_defs) > MAX_LATENT_ENTITIES:
+        at = list(def_lines.values())[MAX_LATENT_ENTITIES]
+        message = f"{len(latent_defs)} latent entities, more than {MAX_LATENT_ENTITIES}"
+        diagnostics.append(GraphDiagnostic("error", "too_many_latents", at, message))
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
     return ClaimGraph(latent_defs, tuple(t for _, t in triples), text), diagnostics

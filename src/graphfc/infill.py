@@ -8,7 +8,6 @@ and the infilling model fills a sentinel-marked blank given that context.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,19 +28,12 @@ from .retrieval import EvidenceBundle, Index, retrieve
 
 DEFAULT_BLANK_TOKEN = "<extra_id_0>"
 
-# Above this many latent entities the permutation space is not materialized;
-# sampling switches to rejection.
-_FULL_ENUMERATION_MAX = 6
-
 
 @dataclass(frozen=True)
 class Path:
     """One latent-entity identification order."""
 
     order: Tuple  # of PlaceholderId
-
-    def __len__(self) -> int:
-        return len(self.order)
 
     def __str__(self) -> str:
         return " -> ".join(p.surface for p in self.order) if self.order else "(empty)"
@@ -79,32 +71,24 @@ class InfillOutcome:
 def enumerate_paths(graph: ClaimGraph, budget: PathBudget) -> List[Path]:
     """All identification orders, capped at the budget.
 
-    With n placeholders: every permutation in lexicographic index order when
-    n! fits the limit, otherwise ``limit`` distinct permutations sampled
-    uniformly without replacement by a generator seeded with ``budget.seed``.
-    A graph without latent entities yields one empty path.
+    With n placeholders, permutation ranks 0..n!-1 follow the order that
+    ``itertools.permutations`` yields over the sorted placeholders.  Every
+    rank is taken, in order, when n! fits the limit; otherwise ``limit``
+    ranks drawn by ``random.Random(budget.seed).sample`` (the same draw as
+    from the materialized list).  No latent entity gives one empty path.
     """
     keys = sorted(graph.latent_defs.keys())
-    n = len(keys)
-    if n == 0:
-        return [Path(())]
-    total = math.factorial(n)
-    if total <= budget.limit:
-        return [Path(p) for p in itertools.permutations(keys)]
-    rng = random.Random(budget.seed)
-    if n <= _FULL_ENUMERATION_MAX:
-        population = list(itertools.permutations(keys))
-        return [Path(p) for p in rng.sample(population, budget.limit)]
-    chosen: List[tuple] = []
-    seen = set()
-    while len(chosen) < budget.limit:
-        candidate = keys[:]
-        rng.shuffle(candidate)
-        candidate = tuple(candidate)
-        if candidate not in seen:
-            seen.add(candidate)
-            chosen.append(candidate)
-    return [Path(p) for p in chosen]
+    ranks = range(math.factorial(len(keys)))
+    if len(ranks) > budget.limit:
+        ranks = random.Random(budget.seed).sample(ranks, budget.limit)
+    paths = []
+    for rank in ranks:  # each rank's digits in the factorial base pick the next key
+        remaining, order = keys[:], []
+        for place in range(len(keys) - 1, -1, -1):
+            digit, rank = divmod(rank, math.factorial(place))
+            order.append(remaining.pop(digit))
+        paths.append(Path(tuple(order)))
+    return paths
 
 
 def _qualifying(triples, target: PlaceholderId, bound) -> List[Triplet]:

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import socket
 import warnings
 from pathlib import Path
 
@@ -71,6 +72,11 @@ class TestIndexCommand:
             "--index", str(tmp_path / "i.json"),
         ])
         assert code == 1
+
+    def test_missing_index_path_is_config_error(self, tmp_path, capsys):
+        paths = build_eval_fixture(tmp_path / "run")
+        assert cli.main(["index", "--corpus", paths["corpus"]]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: config is missing 'index_path'\n"
 
     def test_duplicate_ids_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -217,6 +223,25 @@ class TestVerifyCommand:
         assert code == 0
         assert "final: Supported" in capsys.readouterr().out
 
+    def test_neither_claim_nor_claim_id_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify"])
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert "verify requires --claim or --claim-id" in capsys.readouterr().err
+
+    def test_backend_failure_exits_3(self, fixture, capsys):
+        with socket.socket() as probe:  # a local port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = json.loads(Path(fixture["config"]).read_text())
+        config["backends"] = {"default": {
+            "type": "http", "endpoint": f"http://127.0.0.1:{port}/v1", "max_attempts": 1,
+        }}
+        Path(fixture["config"]).write_text(json.dumps(config))
+        code = cli.main(["verify", "--config", fixture["config"], "--claim", "A claim."])
+        assert code == cli.EXIT_BACKEND == 3
+        assert capsys.readouterr().err.endswith("backend error: request failed after 1 attempt\n")
+
 
 class TestEvalCommand:
     def test_report_and_traces(self, fixture, capsys):
@@ -341,6 +366,19 @@ class TestEvalCommand:
             server.stop()
         assert server.request_count > 0
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    def test_roles_sharing_a_section_share_each_worker_connection(self, fixture):
+        server = StubServer().start()
+        server.default = ("Supported", 7, 3)
+        try:
+            config = json.loads(Path(fixture["config"]).read_text())
+            config["backends"]["default"].update(type="http", endpoint=server.url)
+            Path(fixture["config"]).write_text(json.dumps(config))
+            assert cli.main(["eval", "--config", fixture["config"], "--workers", "2"]) == 0
+        finally:
+            server.stop()
+        assert server.request_count > 20
+        assert len(set(server.ports)) <= 2
 
     def test_gold_mode(self, fixture):
         code = cli.main([

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from graphfc import cli
-from graphfc.backend import CostLedger
+from graphfc.backend import PURPOSES, CostLedger
 from graphfc.config import ConfigError, build_backends, load_config
 
 
@@ -167,6 +167,62 @@ class TestKnownKeysAndValues:
         path = write_config(tmp_path, {"backends": {"selection": {"type": "grpc"}}})
         with pytest.raises(ConfigError, match="selection.*type"):
             load_config(path)
+
+
+class TestLoadErrors:
+    """Config problems that reach no later stage: each is a config error at load."""
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "config file does not exist: "),
+        ('{"k": 3,}', "invalid JSON"),
+    ])
+    def test_missing_or_invalid_config_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        assert cli.main(["index", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("backends,message", [
+        ({"verification": scripted(temprature=0.5)}, r"unknown backend config keys: \['temprature'\]"),
+        ({"verifier": scripted()}, "unknown backend role 'verifier'"),
+    ])
+    def test_unknown_backend_key_or_role(self, tmp_path, backends, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, {"backends": backends}))
+
+    def test_role_without_a_section_or_default(self, tmp_path):
+        config = load_config(write_config(tmp_path, {"backends": {"verification": scripted()}}))
+        with pytest.raises(ConfigError, match="no backend configured for role 'graph_construction'"):
+            build_backends(config)
+
+
+class TestBackendSharing:
+    """Roles that resolve to one section share one backend."""
+
+    def suite(self, tmp_path, backends):
+        suite, _ = build_backends(load_config(write_config(tmp_path, {"backends": backends})))
+        return suite
+
+    def test_default_section_is_one_backend_for_every_role(self, tmp_path):
+        suite = self.suite(tmp_path, {"default": scripted()})
+        assert len({id(suite.backend_for(p)) for p in PURPOSES}) == 1
+
+    def test_two_sections_give_two_backends(self, tmp_path):
+        suite = self.suite(tmp_path, {"default": scripted(), "verification": scripted(model="v")})
+        verifier = suite.backend_for("verification")
+        others = {id(suite.backend_for(p)) for p in PURPOSES if p != "verification"}
+        assert len(others) == 1 and id(verifier) not in others
+        assert verifier.model == "v"
+
+    def test_shared_cache_path_wraps_each_backend_around_one_store(self, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        suite = self.suite(tmp_path, {"default": scripted(cache_path=cache),
+                                      "selection": scripted(cache_path=cache)})
+        graph, selection = suite.backend_for("graph_construction"), suite.backend_for("selection")
+        assert graph is not selection and graph.store is selection.store
 
 
 class TestPrices:

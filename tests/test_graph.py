@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfc.graph import (
+    MAX_LATENT_ENTITIES,
     ClaimGraph,
     PlaceholderId,
     Triplet,
@@ -93,6 +94,20 @@ class TestParseGraph:
             "(ENT1) [SEP] hosts [SEP] a festival"
         )
         assert error_kinds(text) == {"duplicate_placeholder"}
+
+    @pytest.mark.parametrize("n", [MAX_LATENT_ENTITIES + 1, 30])
+    def test_more_latents_than_the_maximum_is_an_error(self, n):
+        text = (
+            "# Latent Entities:\n"
+            + "".join(f"(ENT{i}) [SEP] is [SEP] a city\n" for i in range(1, n + 1))
+            + "# Triples:\n"
+            + "\n".join(f"(ENT{i}) [SEP] hosts [SEP] a festival" for i in range(1, n + 1))
+        )
+        graph, diagnostics = parse_graph(text)
+        assert graph is None
+        assert [str(d) for d in diagnostics] == [
+            f"line 22: [error] too_many_latents: {n} latent entities, more than 20"
+        ]
 
     def test_empty_triples_section(self):
         assert error_kinds("# Latent Entities:\n# Triples:\n") == {"empty_section"}

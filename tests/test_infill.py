@@ -7,13 +7,15 @@ graph are the published example pairs and must reproduce byte-for-byte.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfc.backend import BackendSuite, ScriptedBackend
-from graphfc.graph import PlaceholderId, parse_graph
+from graphfc.graph import MAX_LATENT_ENTITIES, PlaceholderId, parse_graph
 from graphfc.infill import (
     Path,
     PathBudget,
@@ -91,12 +93,31 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError):
             PathBudget(limit=0)
 
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=10),
+    @pytest.mark.parametrize("n", range(9))
+    def test_equals_a_seeded_sample_of_all_permutations(self, n):
+        # The definition the benchmark's oracle checks paths against; every
+        # permutation, in lexicographic order, when n! fits the limit.
+        graph = graph_with_n_latents(n)
+        permutations = list(itertools.permutations(sorted(graph.latent_defs)))
+        for limit in (1, 2, 5, 24, 100, math.factorial(n)):
+            for seed in range(5):
+                expected = permutations
+                if len(permutations) > limit:
+                    expected = random.Random(seed).sample(permutations, limit)
+                orders = [p.order for p in enumerate_paths(graph, PathBudget(limit, seed))]
+                assert orders == expected
+                assert len(permutations) > limit or orders == sorted(orders)
+
+    def test_the_most_latents_a_graph_may_have_are_sampled(self):
+        graph = graph_with_n_latents(MAX_LATENT_ENTITIES)
+        paths = enumerate_paths(graph, PathBudget(limit=5, seed=1))
+        assert len({p.order for p in paths}) == 5
+        assert all(sorted(p.order) == sorted(graph.latent_defs) for p in paths)
+
+    @given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=10),
            st.integers(min_value=0, max_value=999))
     @settings(max_examples=examples(60), deadline=None)
     def test_min_factorial_limit_distinct_permutations(self, n, limit, seed):
-        import math
-
         graph = graph_with_n_latents(n)
         paths = enumerate_paths(graph, PathBudget(limit=limit, seed=seed))
         expected = min(math.factorial(n), limit) if n else 1
