@@ -28,9 +28,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
-GREEDY = "greedy"
-SAMPLE = "sample"
-
 PURPOSE_GRAPH = "graph_construction"
 PURPOSE_INFILL = "infilling"
 PURPOSE_VERIFY = "verification"
@@ -54,19 +51,29 @@ class BackendError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GenRequest:
-    prompt: str
+class GenPolicy:
+    """Generation parameters.  A temperature of 0 decodes greedily, so its
+    answers are reused by the per-claim memo and the response cache; any
+    other temperature samples, and each such request reaches the backend."""
+
     max_new_tokens: int = 32
     temperature: float = 0.0
     top_p: float = 1.0
-    decode_mode: str = GREEDY  # "greedy" | "sample"
-    purpose: str = PURPOSE_VERIFY
 
     def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.decode_mode not in (GREEDY, SAMPLE):
-            raise ValueError(f"unknown decode_mode {self.decode_mode!r}")
+        for name, holds, bound in (
+            ("max_new_tokens", self.max_new_tokens >= 1, ">= 1"),
+            ("temperature", self.temperature >= 0, ">= 0"),
+            ("top_p", 0 < self.top_p <= 1, "in (0, 1]"),
+        ):
+            if not holds:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class GenRequest(GenPolicy):
+    prompt: str
+    purpose: str = PURPOSE_VERIFY
 
 
 @dataclass(frozen=True)
@@ -278,12 +285,11 @@ class HttpBackend:
             connection.close()
 
     def _payload(self, req: GenRequest) -> dict:
-        temperature = 0.0 if req.decode_mode == GREEDY else req.temperature
         return {
             "model": self.model,
             "messages": [{"role": "user", "content": req.prompt}],
             "max_tokens": req.max_new_tokens,
-            "temperature": temperature,
+            "temperature": float(req.temperature),
             "top_p": req.top_p,
         }
 
@@ -525,8 +531,11 @@ class ResponseCache:
 
 
 def cache_key(model: str, req: GenRequest) -> str:
+    # The fourth slot held the decoding mode when that was a setting of its
+    # own; only greedy requests are cached, so it keeps that mode's name and
+    # cache files written then still hit.
     material = json.dumps(
-        [model, req.prompt, req.max_new_tokens, req.decode_mode, req.temperature, req.top_p],
+        [model, req.prompt, req.max_new_tokens, "greedy", req.temperature, req.top_p],
         ensure_ascii=False,
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -535,9 +544,9 @@ def cache_key(model: str, req: GenRequest) -> str:
 class CachedBackend:
     """Caching wrapper around another backend.
 
-    Greedy requests are answered from the store when possible; sampling-mode
-    requests bypass the cache entirely.  Hits are recorded in the ledger as
-    requests with zero priced tokens.
+    Requests at temperature 0 are answered from the store when possible;
+    requests with a temperature above 0 bypass the cache entirely.  Hits are
+    recorded in the ledger as requests with zero priced tokens.
     """
 
     def __init__(self, inner, store: ResponseCache, ledger: Optional[CostLedger] = None):
@@ -550,7 +559,7 @@ class CachedBackend:
         return self.inner.model
 
     def complete(self, req: GenRequest) -> GenResponse:
-        if req.decode_mode == SAMPLE:
+        if req.temperature:  # sampling: nothing to reuse
             return self.inner.complete(req)
         key = cache_key(self.model, req)
         cached = self.store.get(key)
@@ -565,16 +574,6 @@ class CachedBackend:
 
     def close(self) -> None:
         self.inner.close()
-
-
-@dataclass(frozen=True)
-class GenPolicy:
-    """Per-role generation parameters."""
-
-    max_new_tokens: int = 32
-    temperature: float = 0.0
-    top_p: float = 1.0
-    decode_mode: str = GREEDY
 
 
 # Generation policy of each role when none is configured: the constructor
@@ -642,7 +641,7 @@ class BackendSuite:
         return cls(backend, backend, backend, backend, **kwargs)
 
     def request(self, purpose: str, prompt: str) -> GenRequest:
-        # GenPolicy's fields are the generation parameters of GenRequest.
+        # A GenRequest is its role's GenPolicy plus the prompt and purpose.
         return GenRequest(prompt=prompt, purpose=purpose, **vars(self.policies[purpose]))
 
     def backend_for(self, purpose: str):
@@ -665,9 +664,9 @@ class BackendSuite:
         )
 
     def complete(self, purpose: str, prompt: str) -> GenResponse:
-        """Greedy requests repeated within a claim are answered from the memo;
-        sampling requests always reach the backend.  The memo counts each
-        response a backend returns."""
+        """Requests at temperature 0 repeated within a claim are answered from
+        the memo; requests with a temperature above 0 always reach the
+        backend.  The memo counts each response a backend returns."""
         request = self.request(purpose, prompt)
         backend, memo = self.backend_for(purpose), self.memo
         if memo is None:
@@ -676,7 +675,7 @@ class BackendSuite:
         def send() -> GenResponse:
             return memo.sent(purpose, backend.complete(request))
 
-        if request.decode_mode == SAMPLE:
+        if request.temperature:
             return send()
         return memo.recall(purpose, prompt, send)
 

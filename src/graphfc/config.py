@@ -14,9 +14,7 @@ from typing import Dict, Optional, Union, get_args, get_origin, get_type_hints
 
 from .backend import (
     DEFAULT_POLICIES,
-    GREEDY,
     PURPOSES,
-    SAMPLE,
     BackendSuite,
     CachedBackend,
     CostLedger,
@@ -33,7 +31,6 @@ from .verdict import PipelineOptions
 
 EVIDENCE_MODES = ("open_book", "open_book_gold")
 BACKEND_TYPES = ("http", "scripted")
-DECODE_MODES = (GREEDY, SAMPLE)
 
 _PIPELINE_DEFAULTS = PipelineOptions()
 
@@ -53,7 +50,6 @@ class BackendConfig:
     max_new_tokens: Optional[int] = None  # None: the role's default in DEFAULT_POLICIES
     temperature: float = 0.0
     top_p: float = 1.0
-    decode_mode: str = GREEDY  # one of DECODE_MODES
     timeout: float = 60.0
     max_attempts: int = 3
     retry_base_delay: float = 1.0
@@ -144,7 +140,7 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
         raise ConfigError(f"backend {role} must be a JSON object, got {raw!r}")
     unknown = set(raw) - set(_BACKEND_FIELDS)
     if unknown:
-        raise ConfigError(f"unknown backend config keys: {sorted(unknown)}")
+        raise ConfigError(f"backend {role}: unknown backend config keys: {sorted(unknown)}")
     for name, value in raw.items():
         if value is not None:
             _checked(f"backend {role}: {name}", value, _BACKEND_FIELDS[name])
@@ -154,16 +150,17 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
         ("max_attempts", section.max_attempts >= 1, ">= 1"),
         ("timeout", section.timeout > 0, "> 0"),
         ("retry_base_delay", section.retry_base_delay >= 0, ">= 0"),
+        ("temperature", section.temperature >= 0, ">= 0"),
+        ("top_p", 0 < section.top_p <= 1, "in (0, 1]"),
     ):
         if not holds:
             raise ConfigError(
                 f"backend {role}: {name} must be {bound}, got {getattr(section, name)}"
             )
-    for name, allowed in (("type", BACKEND_TYPES), ("decode_mode", DECODE_MODES)):
-        if getattr(section, name) not in allowed:
-            raise ConfigError(
-                f"backend {role}: {name} must be one of {allowed}, got {getattr(section, name)!r}"
-            )
+    if section.type not in BACKEND_TYPES:
+        raise ConfigError(
+            f"backend {role}: type must be one of {BACKEND_TYPES}, got {section.type!r}"
+        )
     if section.type == "http":
         try:
             split_http_url(section.endpoint)
@@ -279,13 +276,9 @@ def build_backends(config: RunConfig, ledger: Optional[CostLedger] = None):
         if name not in built:
             built[name] = _build_one(role, section, ledger, caches)
         roles[role] = built[name]
-        max_new_tokens = section.max_new_tokens
-        if max_new_tokens is None:
-            max_new_tokens = DEFAULT_POLICIES[role].max_new_tokens
         policies[role] = GenPolicy(
-            max_new_tokens=max_new_tokens,
+            max_new_tokens=section.max_new_tokens or DEFAULT_POLICIES[role].max_new_tokens,
             temperature=section.temperature,
             top_p=section.top_p,
-            decode_mode=section.decode_mode,
         )
     return BackendSuite(**roles, policies=policies), caches

@@ -197,7 +197,6 @@ class ClaimGraph:
 
     latent_defs: dict  # PlaceholderId -> Triplet, insertion-ordered
     triples: tuple  # of Triplet
-    source_text: str = ""
 
 
 def parse_graph(text: str):
@@ -296,7 +295,7 @@ def parse_graph(text: str):
         diagnostics.append(GraphDiagnostic("error", "too_many_latents", at, message))
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
-    return ClaimGraph(latent_defs, tuple(t for _, t in triples), text), diagnostics
+    return ClaimGraph(latent_defs, tuple(t for _, t in triples)), diagnostics
 
 
 def serialize_graph(graph: ClaimGraph) -> str:

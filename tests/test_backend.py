@@ -18,9 +18,12 @@ import pytest
 
 from graphfc import backend as backend_module
 from graphfc.backend import (
+    DEFAULT_POLICIES,
     BackendError,
+    BackendSuite,
     CachedBackend,
     CostLedger,
+    GenPolicy,
     GenRequest,
     GenResponse,
     HttpBackend,
@@ -42,9 +45,10 @@ class TestGenRequest:
         with pytest.raises(ValueError):
             GenRequest(prompt="x", max_new_tokens=0)
 
-    def test_decode_mode_validation(self):
-        with pytest.raises(ValueError):
-            GenRequest(prompt="x", decode_mode="beam")
+    @pytest.mark.parametrize("name,value", [("temperature", -0.1), ("top_p", 0), ("top_p", 1.5)])
+    def test_temperature_and_top_p_ranges(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GenRequest(prompt="x", **{name: value})
 
 
 class TestScriptedBackend:
@@ -110,7 +114,7 @@ class TestCachedBackend:
 
     def test_sampling_bypasses_cache(self):
         cached, inner, store = self.make()
-        request = GenRequest(prompt="q1", decode_mode="sample", temperature=0.8)
+        request = GenRequest(prompt="q1", temperature=0.8)
         cached.complete(request)
         cached.complete(request)
         assert inner.call_count == 2
@@ -169,6 +173,13 @@ class TestCachedBackend:
         request = greedy("same prompt")
         assert cache_key("m1", request) == cache_key("m1", request)
         assert cache_key("m1", request) != cache_key("m2", request)
+
+    def test_key_of_a_greedy_request_is_unchanged(self):
+        # Cache files written while the decoding mode was a setting of its own
+        # must keep hitting.
+        assert cache_key("m", GenRequest(prompt="p")) == (
+            "52691b074fe218b33e087f4a654fdb41f5875d952b8dc96163aeb592ff2789a6"
+        )
 
     def test_store_round_trip_property(self, tmp_path):
         from hypothesis import given, settings
@@ -286,10 +297,15 @@ class TestHttpBackend:
         assert sent["messages"] == [{"role": "user", "content": "hello"}]
         assert sent["temperature"] == 0.0
 
-    def test_greedy_overrides_temperature(self, stub):
-        stub.plan(("x", 1, 1))
-        self.make(stub).complete(greedy("p", temperature=0.9))
-        assert stub.requests[0]["temperature"] == 0.0
+    def test_sampling_is_sent_as_given_and_each_repeat_in_a_claim(self, stub):
+        store = ResponseCache()
+        view = BackendSuite.single(CachedBackend(self.make(stub), store)).counted()
+        view.policies = {**DEFAULT_POLICIES, "verification": GenPolicy(temperature=0.7, top_p=0.9)}
+        view.complete("verification", "p")
+        view.complete("verification", "p")
+        assert [(sent["temperature"], sent["top_p"]) for sent in stub.requests] == [(0.7, 0.9)] * 2
+        assert view.memo.calls["verification"] == 2
+        assert len(store) == 0
 
     def test_retries_on_500_then_succeeds(self, stub):
         stub.plan(500, 500, ("recovered", 5, 2))

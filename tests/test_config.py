@@ -84,6 +84,31 @@ class TestMaxNewTokens:
             load_config(path)
 
 
+class TestSamplingSettings:
+    """temperature and top_p are checked at load, instead of being sent with
+    every request of every claim."""
+
+    @pytest.mark.parametrize("name,value,bound", [
+        ("temperature", -1, ">= 0"), ("temperature", -0.01, ">= 0"),
+        ("top_p", 0, r"in \(0, 1\]"), ("top_p", -0.5, r"in \(0, 1\]"),
+        ("top_p", 1.01, r"in \(0, 1\]"), ("top_p", 5, r"in \(0, 1\]"),
+    ])
+    def test_out_of_range_is_a_config_error_naming_the_role(self, tmp_path, capsys, name, value, bound):
+        path = write_config(tmp_path, {"backends": {"selection": scripted(**{name: value})}})
+        with pytest.raises(ConfigError, match=f"backend selection: {name} must be {bound}"):
+            load_config(path)
+        assert cli.main(["index", "--config", path]) == cli.EXIT_CONFIG == 1
+
+    @pytest.mark.parametrize("name,value", [
+        ("temperature", 0), ("temperature", 1), ("temperature", 0.7),
+        ("top_p", 1), ("top_p", 0.01), ("top_p", 0.9),
+    ])
+    def test_edges_are_accepted(self, tmp_path, name, value):
+        config = load_config(write_config(tmp_path, {"backends": {"default": scripted(**{name: value})}}))
+        suite, _ = build_backends(config)
+        assert {getattr(policy, name) for policy in suite.policies.values()} == {value}
+
+
 class TestRequestSettings:
     """A backend section's retry and timeout settings are checked at load,
     instead of failing every claim's first request."""
@@ -148,11 +173,14 @@ class TestKnownKeysAndValues:
         config = load_config(path)
         assert (config.k, config.truncation_chars, config.prices) == (5, 100, {"m": (0.5, 1.5)})
 
-    @pytest.mark.parametrize("value", ["beam", "GREEDY"])
-    def test_decode_mode_must_be_greedy_or_sample(self, tmp_path, value):
+    @pytest.mark.parametrize("value", ["greedy", "sample", "beam", "GREEDY"])
+    def test_decode_mode_is_an_unknown_key(self, tmp_path, value, capsys):
+        # The temperature alone decides decoding: 0 is greedy, above 0 samples.
         path = write_config(tmp_path, {"backends": {"verification": scripted(decode_mode=value)}})
-        with pytest.raises(ConfigError, match="verification.*decode_mode"):
+        message = r"backend verification: unknown backend config keys: \['decode_mode'\]"
+        with pytest.raises(ConfigError, match=message):
             load_config(path)
+        assert cli.main(["index", "--config", path]) == cli.EXIT_CONFIG
 
     def test_unknown_dataset_format_is_rejected_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="dataset_format must be one of .* got 'xml'"):

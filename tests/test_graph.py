@@ -176,10 +176,6 @@ class TestParseGraph:
         for t in graph.triples:
             assert placeholders_of(t) == set()
 
-    def test_source_text_is_kept_verbatim(self):
-        graph = must_parse(MUSICIAN_GRAPH)
-        assert graph.source_text == MUSICIAN_GRAPH
-
 
 class TestDiagnosticsInvariants:
     @pytest.mark.parametrize(

@@ -11,10 +11,8 @@ import pytest
 from graphfc import retrieval
 from graphfc.backend import (
     DEFAULT_POLICIES,
-    GREEDY,
     PURPOSES,
     RETRIEVAL,
-    SAMPLE,
     BackendError,
     BackendSuite,
     ClaimMemo,
@@ -187,7 +185,7 @@ class TestTwoPathsSameBindings:
         assert suite.verification.call_count == 5
 
     def test_sampling_role_receives_every_repeat(self, band_index, search_counter):
-        sampling = GenPolicy(temperature=0.7, decode_mode=SAMPLE)
+        sampling = GenPolicy(temperature=0.7)
         suite = same_bindings_suite({"verification": sampling})
         trace = run_two_paths(band_index, suite)
         assert trace.final is Label.NOT_SUPPORTED
@@ -245,9 +243,9 @@ class TestViewAccounting:
     """A claim's view counts the requests that reached a backend and their
     tokens: not the repeats its memo answered, nor a request that failed."""
 
-    @pytest.mark.parametrize("decode_mode", [GREEDY, SAMPLE])
-    def test_tokens_sum_the_requests_the_roles_received(self, band_index, decode_mode):
-        suite = same_bindings_suite({"verification": GenPolicy(decode_mode=decode_mode)})
+    @pytest.mark.parametrize("temperature", [0.0, 0.7], ids=["greedy", "sample"])
+    def test_tokens_sum_the_requests_the_roles_received(self, band_index, temperature):
+        suite = same_bindings_suite({"verification": GenPolicy(temperature=temperature)})
         roles = {p: Recorder(suite.backend_for(p)) for p in PURPOSES}
         trace = run_two_paths(band_index, replace(suite, **roles))
         sent = [req for recorder in roles.values() for req in recorder.requests]
@@ -257,15 +255,15 @@ class TestViewAccounting:
         assert trace.calls == {p: len(recorder.requests) for p, recorder in roles.items()}
         # Greedy: the second path's five sentences are memo hits, not sent.
         # Sampling: every repeat is sent and counted.
-        repeats = 5 if decode_mode == SAMPLE else 0
+        repeats = 5 if temperature else 0
         assert trace.calls["verification"] == 5 + repeats
         assert trace.memo_hits["verification"] == 5 - repeats
 
-    @pytest.mark.parametrize("decode_mode", [GREEDY, SAMPLE])
-    def test_a_failed_request_counts_in_neither_calls_nor_tokens(self, decode_mode):
+    @pytest.mark.parametrize("temperature", [0.0, 0.7], ids=["greedy", "sample"])
+    def test_a_failed_request_counts_in_neither_calls_nor_tokens(self, temperature):
         backend = Recorder(ScriptedBackend().register("known prompt", "yes"))
         view = BackendSuite.single(backend).counted()
-        view.policies = {**DEFAULT_POLICIES, "verification": GenPolicy(decode_mode=decode_mode)}
+        view.policies = {**DEFAULT_POLICIES, "verification": GenPolicy(temperature=temperature)}
         with pytest.raises(BackendError):
             view.complete("verification", "unknown prompt")
         view.complete("verification", "known prompt")
