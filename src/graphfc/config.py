@@ -8,6 +8,7 @@ verification, selection); a "default" section fills any missing role.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union, get_args, get_origin, get_type_hints
@@ -128,10 +129,16 @@ _BACKEND_FIELDS = _scalar_fields(BackendConfig)
 
 
 def _checked(name: str, value, expected: type):
-    """``value`` if JSON decoding gives it type ``expected``; an int passes as a float."""
+    """``value`` if JSON decoding gives it type ``expected``; an int passes as
+    a float and is returned as one, so that 0 and 0.0 configure alike.  NaN
+    and the infinities, which Python's ``json`` reads, are rejected."""
     accepted = (int, float) if expected is float else expected
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name} must be of type {expected.__name__}, got {value!r}")
+    if expected is float:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        return float(value)
     return value
 
 
@@ -141,10 +148,10 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
     unknown = set(raw) - set(_BACKEND_FIELDS)
     if unknown:
         raise ConfigError(f"backend {role}: unknown backend config keys: {sorted(unknown)}")
-    for name, value in raw.items():
-        if value is not None:
-            _checked(f"backend {role}: {name}", value, _BACKEND_FIELDS[name])
-    section = BackendConfig(**raw)
+    section = BackendConfig(**{
+        name: _checked(f"backend {role}: {name}", value, _BACKEND_FIELDS[name])
+        for name, value in raw.items() if value is not None
+    })
     for name, holds, bound in (
         ("max_new_tokens", section.max_new_tokens is None or section.max_new_tokens >= 1, ">= 1"),
         ("max_attempts", section.max_attempts >= 1, ">= 1"),
@@ -188,10 +195,11 @@ def _price(model: str, price) -> tuple:
             f"{name} must be an object with {' and/or '.join(_PRICE_KEYS)} "
             f"or a list of two numbers, got {price!r}"
         )
+    values = tuple(_checked(name, value, float) for value in values)
     for value in values:
-        if _checked(name, value, float) < 0:
+        if value < 0:
             raise ConfigError(f"{name}: a price must be >= 0, got {value!r}")
-    return tuple(float(value) for value in values)
+    return values
 
 
 def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunConfig:

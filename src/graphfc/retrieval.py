@@ -4,18 +4,21 @@ The index is built in one pass and immutable afterwards, apart from caches
 that are safe to fill concurrently, so concurrent searches are safe.  Scoring
 is classic Okapi BM25 with the +1-smoothed natural-log IDF.  Every posting's
 query-independent BM25 weight is computed once, when the index is built, and
-stored in the index file (format v5), so loading an index computes nothing
+stored in the index file (format v6), so loading an index computes nothing
 per posting.  Each term's postings are stored in impact order, largest weight
 first (Anh & Moffat, 2006), so the unwalked rest of a list is bounded by its
-next weight.  Search is exact top-k with an early stop in the manner of the
-threshold algorithm (Fagin, Lotem & Naor, 2003): it walks the lists a chunk
-at a time, rescores the documents still in contention exactly, and stops
-once the k-th best exact score beats everything the unwalked postings could
-add, so the tails of long lists (the stopwords') are not walked.
+next weight, and equal weights sit next to each other: each run of them is
+stored as one weight and the run's end.  Search is exact top-k with an early
+stop in the manner of the threshold algorithm (Fagin, Lotem & Naor, 2003): it
+walks the lists a chunk at a time, rescores the documents still in contention
+exactly, and stops once the k-th best exact score beats everything the
+unwalked postings could add, so the tails of long lists (the stopwords') are
+not walked.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import heapq
 import itertools
@@ -44,7 +47,7 @@ _PRUNE_SLACK = 1.0 + 1e-9
 _FIRST_CHUNK = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
 # How the document streams are compressed.  Deflate's fixed Huffman codes
@@ -181,8 +184,8 @@ class DocumentTable(Sequence):
     ``crcs[i]`` is the CRC-32 of its inflated bytes.  A document is
     inflated, checked and built the first time it is read, then kept (see
     ``Index`` on why that is safe from any thread), whether the table was
-    made by ``of`` or loaded.  ``source`` names the file in the error raised
-    for a corrupt document.
+    made by ``of`` or loaded.  ``source`` names the file in the errors raised
+    for a corrupt document or posting.
     """
 
     def __init__(self, ids: List[str], dictionary: bytes, ends: array, crcs: array,
@@ -192,7 +195,7 @@ class DocumentTable(Sequence):
         self.ends = ends
         self.crcs = crcs
         self.streams = streams
-        self._source = source
+        self.source = source
         self._built: List[Optional[Document]] = [None] * len(ids)
 
     @classmethod
@@ -230,7 +233,7 @@ class DocumentTable(Sequence):
                     raw[title_end:].decode("utf-8", "surrogatepass"),
                 )
             except (zlib.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-                raise CorpusError(f"{self._source}: corrupt document {ordinal} ({exc})") from None
+                raise CorpusError(f"{self.source}: corrupt document {ordinal} ({exc})") from None
             self._built[ordinal] = doc
         return doc
 
@@ -240,66 +243,88 @@ class Index:
     loaded.
 
     ``terms`` numbers every term, and term i's postings are the slice
-    ``bounds[i]:bounds[i + 1]`` (its ``span``) of the flat ``ordinals``
-    (uint32) and ``weights`` (float64) arrays: the documents holding the term
-    and the term's query-independent BM25 weight in each, in impact order
-    (descending weight, ties by ascending ordinal), so a term's first weight
-    is its largest.  ``end - start`` is the term's document frequency.
-    build_index computes the weights with the operations of
+    ``bounds[i]:bounds[i + 1]`` (its ``span``) of the flat uint32 array
+    ``ordinals``: the documents holding the term, in impact order (descending
+    query-independent BM25 weight, ties by ascending ordinal).  ``end -
+    start`` is the term's document frequency.  The weights are stored as runs
+    of equal weight: run j holds ``run_weights[j]`` (float64) for the
+    postings from run j - 1's end (0 for the first run) to ``run_ends[j]``
+    (uint32).  Runs never cross a term's end, and within a term each run's
+    weight is below the one before, so a term's first run holds its largest
+    weight.  build_index computes the weights with the operations of
     ``bm25_term_score`` in the same order, so a search only adds them up and
     its scores are bit-identical to summing ``bm25_term_score`` per posting.
     The weights are stored in the index file, so they are fixed at build
     time.
 
-    The index is immutable after construction apart from two caches: the
+    The index is immutable after construction apart from three caches: the
     ordinal -> weight dicts ``postings`` builds for a term the first time the
-    term is used, and the documents ``documents`` inflates when first read.
-    Filling them is idempotent: two threads touching a term or a document at
-    once build equal values and either may keep its own, so concurrent
-    searches are safe.
+    term is used, the documents ``documents`` inflates when first read, and
+    the doc_id -> ordinal dict ``get_document`` builds on its first call.
+    Filling them is idempotent: two threads touching a term, a document or
+    the dict at once build equal values and either may keep its own, so
+    concurrent searches are safe.
     """
 
-    def __init__(self, documents: DocumentTable, terms, bounds, ordinals, weights, k1, b, avg_doc_length):
+    def __init__(self, documents: DocumentTable, terms, bounds, ordinals, run_weights, run_ends,
+                 k1, b, avg_doc_length):
         self.documents = documents
         if not documents:
             raise CorpusError("index has no documents")
         self.terms: dict = terms  # term -> its number
-        self.bounds: array = bounds  # uint32: 0, then each term's end in ordinals and weights
+        self.bounds: array = bounds  # uint32: 0, then each term's end in ordinals
         self.ordinals: array = ordinals
-        self.weights: array = weights
+        self.run_weights: array = run_weights
+        self.run_ends: array = run_ends
         self.k1 = k1
         self.b = b
         self.doc_count = len(self.documents)
         self.avg_doc_length = avg_doc_length
-        self._by_id = dict(zip(documents.ids, range(self.doc_count)))  # doc_id -> ordinal
+        self._by_id: Optional[dict] = None  # doc_id -> ordinal
         self._postings: dict = {}  # term -> {ordinal: weight}
 
     def postings(self, term: str) -> Optional[dict]:
         """``term``'s weight in each document holding it, as an ordinal ->
         weight dict in impact order, or None for a term no document holds.
-        Raises CorpusError, on the term's first use rather than at load, if
-        an ordinal names no document (a corrupt file)."""
+        The postings of one run share its weight's float object.  Raises
+        CorpusError naming the file, on the term's first use rather than at
+        load, if the term's runs do not partition its postings, or if it
+        names a document twice or names no document (a corrupt file)."""
         entry = self._postings.get(term)
         if entry is None:
             span = self.span(term)
             if span is None:
                 return None
-            entry = dict(zip(self.ordinals[span[0]:span[1]], self.weights[span[0]:span[1]]))
+            start, end = span
+            # The term's runs are those ending after its start and no later
+            # than its end; they must end strictly in turn, the last at its end.
+            first = bisect.bisect_right(self.run_ends, start)
+            last = bisect.bisect_right(self.run_ends, end, first)
+            ends = self.run_ends[first:last]
+            lengths = list(map(operator.sub, ends, itertools.chain((start,), ends)))
+            if not ends or ends[-1] != end or min(lengths) < 1:
+                raise self._corrupt(term, "has weight runs that do not partition its postings")
+            weights = itertools.chain.from_iterable(map(itertools.repeat, self.run_weights[first:last], lengths))
+            entry = dict(zip(self.ordinals[start:end], weights))
+            if len(entry) != end - start:
+                raise self._corrupt(term, "names a document twice")
             if max(entry) >= self.doc_count:  # the keys, already boxed, are quicker to scan
-                raise CorpusError(
-                    f"corrupt index: term {term!r} names document {max(entry)}, "
-                    f"past the last of {self.doc_count}"
-                )
+                raise self._corrupt(term, f"names document {max(entry)}, past the last of {self.doc_count}")
             self._postings[term] = entry
         return entry
 
+    def _corrupt(self, term: str, problem: str) -> CorpusError:
+        return CorpusError(f"corrupt index: term {term!r} {problem}, in {self.documents.source}")
+
     def span(self, term: str) -> Optional[Tuple[int, int]]:
-        """``term``'s ``(start, end)`` slice of ``ordinals`` and ``weights``,
-        or None for a term no document holds."""
+        """``term``'s ``(start, end)`` slice of ``ordinals``, or None for a
+        term no document holds."""
         number = self.terms.get(term)
         return None if number is None else (self.bounds[number], self.bounds[number + 1])
 
     def get_document(self, doc_id: str) -> Optional[Document]:
+        if self._by_id is None:  # only gold evidence looks documents up by id
+            self._by_id = dict(zip(self.documents.ids, range(self.doc_count)))
         ordinal = self._by_id.get(doc_id)
         return None if ordinal is None else self.documents[ordinal]
 
@@ -340,21 +365,25 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
     norms = [k1 * (1.0 - b + b * n / avg_doc_length) for n in doc_lengths]
     scale = k1 + 1.0
     idfs: dict = {}  # doc_freq -> idf; most terms of a large vocabulary share a few
-    bounds, ordinals, weights = array("I", [0]), array("I"), array("d")
+    bounds, ordinals, run_weights, run_ends = array("I", [0]), array("I"), array("d"), array("I")
     for term_ordinals, tfs in postings.values():
         idf = idfs.get(len(term_ordinals))
         if idf is None:
             idf = idfs[len(term_ordinals)] = bm25_idf(len(documents), len(term_ordinals))
-        bounds.append(bounds[-1] + len(term_ordinals))
         # Impact order: a stable sort keeps equal weights in ascending ordinal order.
         ranked = sorted(
             zip([idf * tf * scale / (tf + norms[o]) for o, tf in zip(term_ordinals, tfs)], term_ordinals),
             key=operator.itemgetter(0), reverse=True,
         )
-        weights.extend([weight for weight, _ in ranked])
         ordinals.extend([ordinal for _, ordinal in ranked])
+        weights = [weight for weight, _ in ranked]
+        # A run ends where the next weight differs, and at the term's end.
+        run_last = [*map(operator.ne, weights, itertools.islice(weights, 1, None)), True]
+        run_weights.extend(itertools.compress(weights, run_last))
+        run_ends.extend(itertools.compress(itertools.count(bounds[-1] + 1), run_last))
+        bounds.append(bounds[-1] + len(term_ordinals))
     terms = dict(zip(postings, itertools.count()))
-    return Index(DocumentTable.of(documents), terms, bounds, ordinals, weights, k1, b, avg_doc_length)
+    return Index(DocumentTable.of(documents), terms, bounds, ordinals, run_weights, run_ends, k1, b, avg_doc_length)
 
 
 def search(index: Index, query: str, k: int) -> EvidenceBundle:
@@ -368,14 +397,15 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
 
     A term's postings are in impact order, so what its unwalked postings can
     add to a score is bounded by its multiplicity times its next weight.  The
-    search walks one chunk of postings at a time (``_FIRST_CHUNK``, then
-    twice the size of the term's previous chunk) from the term whose unwalked
-    postings have the largest bound, and sums each document's partial score.
-    A walked document whose partial score plus the unwalked bounds could
-    still reach the k-th best exact score found so far is rescored exactly,
-    term by term in query order, from the ordinal -> weight dicts
-    ``Index.postings`` builds on each term's first use; so every returned
-    score is bit-identical to summing ``bm25_term_score`` per posting.  The
+    search walks the items of the ordinal -> weight dicts ``Index.postings``
+    builds on each term's first use, one chunk at a time (``_FIRST_CHUNK``,
+    then twice the size of the term's previous chunk), from the term whose
+    unwalked postings have the largest bound, and sums each document's
+    partial score.  A walked document whose partial score plus the unwalked
+    bounds could still reach the k-th best exact score found so far is
+    rescored exactly, term by term in query order, from the same dicts; so
+    every returned score is bit-identical to summing ``bm25_term_score`` per
+    posting.  The
     search stops once the k-th best exact score beats the sum of the unwalked
     bounds: a document not yet seen cannot reach the top k, not even in a
     tie, and neither can a walked one left unrescored, because the k-th best
@@ -391,12 +421,15 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     counts = collections.Counter(terms)
     postings = {term: index.postings(term) for term in counts}
     in_query_order = [postings[term] for term in terms]
-    ordinals, weights = index.ordinals, index.weights
-    # Per term not yet walked to its end: [next position, end, chunk size, multiplicity].
-    cursors = [[*index.span(term), _FIRST_CHUNK, m] for term, m in counts.items()]
+    # Per term not yet walked to its end: [its dict's items iterator, the
+    # next (ordinal, weight) item, items left, chunk size, multiplicity].
+    cursors = []
+    for term, m in counts.items():
+        items = iter(postings[term].items())
+        cursors.append([items, next(items), len(postings[term]), _FIRST_CHUNK, m])
 
     def bound(cursor: list) -> float:
-        return cursor[3] * weights[cursor[0]]
+        return cursor[4] * cursor[1][1]
 
     def exact(ordinal: int) -> float:
         score = 0.0
@@ -409,15 +442,15 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     top: list = []  # min-heap of the k best exact scores
     while cursors:
         cursor = max(cursors, key=bound)
-        start, end, size, m = cursor
-        stop = min(start + size, end)
-        if stop == end:
+        items, head, left, size, m = cursor
+        chunk = [head, *itertools.islice(items, min(size, left) - 1)]
+        if size >= left:
             cursors.remove(cursor)
         else:
-            cursor[0], cursor[2] = stop, 2 * size
+            cursor[1:4] = next(items), left - size, 2 * size
         rest = sum(map(bound, cursors))
         get = partial.get
-        for ordinal, weight in zip(ordinals[start:stop], weights[start:stop]):
+        for ordinal, weight in chunk:
             if ordinal in exact_scores:
                 continue
             partial[ordinal] = score = get(ordinal, 0.0) + m * weight
@@ -500,21 +533,23 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v5, one file holding, in this order:
+    """Write the index in format v6, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 5, ``k1``, ``b``, ``doc_count``,
-      ``avg_doc_length``, and the byte lengths of the sections whose length
-      nothing else gives: ``terms_bytes``, ``ids_bytes`` and
-      ``dictionary_bytes``;
+    - one line of JSON header: ``version`` 6, ``k1``, ``b``, ``doc_count``,
+      ``avg_doc_length``, ``run_count`` (the number of weight runs), and the
+      byte lengths of the sections whose length nothing else gives:
+      ``terms_bytes``, ``ids_bytes`` and ``dictionary_bytes``;
     - the terms' UTF-8 bytes, joined by ``\\n`` (no term holds whitespace);
     - each term's posting end as one little-endian uint32 array: its
       postings are those from the previous term's end to its own;
     - every posting's ordinal as one little-endian uint32 array, in term order
       and, within a term, in impact order: descending weight, ties by
       ascending ordinal;
-    - the postings' BM25 weights as one little-endian float64 array, in the
-      same order;
+    - the postings' BM25 weights as runs of equal weight, in the same order:
+      each run's weight as one little-endian float64 array, then where each
+      run ends among the postings as one little-endian uint32 array.  A run
+      ends at every change of weight and at every term's end;
     - the doc_ids, in ordinal order, as a zlib-compressed ASCII JSON array;
     - the deflate dictionary the document streams are primed with;
     - each document stream's end, then each document's CRC-32, as two
@@ -522,7 +557,9 @@ def save_index(index: Index, path: str) -> None:
     - the document streams, one after another (see DocumentTable).
 
     Term frequencies and document lengths are not stored: the weights are
-    all a search reads.  The same index always gives the same bytes.  The
+    all a search reads.  A run costs 12 bytes against 8 for a weight stored
+    per posting, so the runs are smaller while they number fewer than two
+    thirds of the postings.  The same index always gives the same bytes.  The
     file is written under a temporary name in the same directory and then
     renamed over ``path``, so a failed write leaves any old file as it was.
     """
@@ -535,6 +572,7 @@ def save_index(index: Index, path: str) -> None:
         "b": index.b,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
+        "run_count": len(index.run_ends),
         "terms_bytes": len(terms),
         "ids_bytes": len(ids),
         "dictionary_bytes": len(documents.dictionary),
@@ -548,7 +586,8 @@ def save_index(index: Index, path: str) -> None:
             handle.write(terms)
             _little_endian(index.bounds[1:]).tofile(handle)
             _little_endian(index.ordinals).tofile(handle)
-            _little_endian(index.weights).tofile(handle)
+            _little_endian(index.run_weights).tofile(handle)
+            _little_endian(index.run_ends).tofile(handle)
             handle.write(ids)
             handle.write(documents.dictionary)
             _little_endian(documents.ends).tofile(handle)
@@ -590,7 +629,7 @@ def _read_header(path: str, line: bytes) -> dict:
         raise CorpusError(f"{path}: corrupt index header")
     if header.get("version") != INDEX_VERSION:
         raise _rebuild_error(path, header.get("version"))
-    sizes = [header.get(key) for key in ("doc_count", "terms_bytes", "ids_bytes", "dictionary_bytes")]
+    sizes = [header.get(key) for key in ("doc_count", "run_count", "terms_bytes", "ids_bytes", "dictionary_bytes")]
     if not (
         set(map(type, sizes)) <= {int} and min(sizes) >= 0
         and {type(header.get(key)) for key in ("k1", "b", "avg_doc_length")} <= {int, float}
@@ -607,8 +646,9 @@ def load_index(path: str) -> Index:
     be rebuilt), for a file that is truncated, longer than its header says or
     otherwise corrupt, and for an index with no documents.  No document is
     inflated here: a corrupt document stream raises CorpusError when that
-    document is first read, and a posting naming no document when its term
-    is first used.
+    document is first read, and a term whose weight runs do not partition
+    its postings, or whose postings name a document twice or name no
+    document, when the term is first used.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
@@ -641,7 +681,10 @@ def load_index(path: str) -> Index:
         if not all(map(operator.lt, bounds, itertools.islice(bounds, 1, None))):
             raise CorpusError(f"{path}: corrupt term list")  # a term without postings
         ordinals = read_array("I", bounds[-1])
-        weights = read_array("d", bounds[-1])
+        run_weights = read_array("d", header["run_count"])
+        run_ends = read_array("I", header["run_count"])
+        if (run_ends[-1] if run_ends else 0) != bounds[-1]:
+            raise CorpusError(f"{path}: corrupt weight runs")  # the last run must end the postings
         ids_blob = read(header["ids_bytes"])
         try:
             ids = json.loads(zlib.decompress(ids_blob))
@@ -660,5 +703,5 @@ def load_index(path: str) -> Index:
         raise CorpusError(f"{path}: corrupt term list")  # a term listed twice
     return Index(
         DocumentTable(ids, dictionary, document_ends, crcs, streams, path), numbers, bounds,
-        ordinals, weights, header["k1"], header["b"], header["avg_doc_length"],
+        ordinals, run_weights, run_ends, header["k1"], header["b"], header["avg_doc_length"],
     )

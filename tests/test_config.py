@@ -7,7 +7,7 @@ import json
 import pytest
 
 from graphfc import cli
-from graphfc.backend import PURPOSES, CostLedger
+from graphfc.backend import PURPOSES, CostLedger, cache_key
 from graphfc.config import ConfigError, build_backends, load_config
 
 
@@ -52,6 +52,35 @@ class TestTypes:
     def test_int_is_accepted_for_a_float(self, tmp_path):
         path = write_config(tmp_path, {"backends": {"default": scripted(temperature=1)}})
         assert load_config(path).backends["default"].temperature == 1
+
+    def test_integer_temperature_keys_the_cache_as_greedy(self, tmp_path):
+        # An integer 0 loads as 0.0, so its requests share the default's cache entries.
+        path = write_config(tmp_path, {"backends": {"default": scripted(temperature=0)}})
+        suite, _ = build_backends(load_config(path))
+        assert cache_key("m", suite.request("verification", "p")) == (
+            "52691b074fe218b33e087f4a654fdb41f5875d952b8dc96163aeb592ff2789a6"
+        )
+
+    def test_null_in_a_backend_section_keeps_the_default(self, tmp_path):
+        path = write_config(tmp_path, {"backends": {"default": scripted(temperature=None, timeout=None)}})
+        section = load_config(path).backends["default"]
+        assert (section.temperature, section.timeout) == (0.0, 60.0)
+
+    @pytest.mark.parametrize("payload,name", [
+        ({"prices": {"m": [float("nan"), 1]}}, "prices 'm'"),
+        ({"prices": {"m": {"output_per_1k": float("inf")}}}, "prices 'm'"),
+        ({"backends": {"default": scripted(timeout=float("inf"))}}, "backend default: timeout"),
+        ({"backends": {"default": scripted(retry_base_delay=float("inf"))}}, "backend default: retry_base_delay"),
+        ({"backends": {"selection": scripted(temperature=float("nan"))}}, "backend selection: temperature"),
+        ({"backends": {"selection": scripted(top_p=float("-inf"))}}, "backend selection: top_p"),
+    ])
+    def test_non_finite_number_is_a_config_error_naming_the_field(self, tmp_path, capsys, payload, name):
+        # Python's json reads NaN, Infinity and -Infinity.
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+            load_config(path)
+        assert cli.main(["index", "--config", path]) == cli.EXIT_CONFIG == 1
+        assert f"{name} must be a finite number" in capsys.readouterr().err
 
     def test_cli_reports_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"k": "10"})

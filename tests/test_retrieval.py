@@ -368,18 +368,15 @@ _FIRST_CHUNKS = pytest.mark.parametrize("first_chunk", [1, 2, retrieval._FIRST_C
 _QUERIES = st.lists(st.one_of(_RARE, _FREQUENT, st.just("filler")), min_size=1, max_size=8).map(" ".join)
 
 
-class SliceCounter(array):
-    """An array that counts the items its slices read."""
+class ItemsCounter(dict):
+    """A postings dict that counts the items its ``items()`` iterators yield."""
 
-    def __new__(cls, values):
-        counter = super().__new__(cls, values.typecode, values)
-        counter.read = 0
-        return counter
+    read = 0
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.read += len(range(*key.indices(len(self))))
-        return super().__getitem__(key)
+    def items(self):
+        for item in super().items():
+            self.read += 1
+            yield item
 
 
 def pruned_search(index, query, k, first_chunk):
@@ -430,14 +427,13 @@ class TestPrunedSearchMatchesReference:
             for i in range(300)
         ]
         index = build_index(docs)
-        plain = index.ordinals
         for query in ("zeta is in", "zeta is mentioned in zeta."):
-            search(index, query, 10)  # each term's first use reads its whole list
-            index.ordinals = SliceCounter(plain)
+            search(index, query, 10)  # each term's first use builds its whole dict
+            index._postings = {term: ItemsCounter(entry) for term, entry in index._postings.items()}
             got = [(doc.doc_id, score) for doc, score in search(index, query, 10).docs]
             assert got == brute_force_search(index, query, 10)
-            assert index.ordinals.read < 303 / 4  # "is" and "in" hold 303 postings each
-            index.ordinals = plain
+            # "is" and "in" hold 303 postings each
+            assert sum(entry.read for entry in index._postings.values()) < 303 / 4
 
     @_FIRST_CHUNKS
     def test_stopword_only_query(self, first_chunk):
@@ -512,8 +508,8 @@ class TestPersistence:
         path = tmp_path / "empty.json"
         ids = zlib.compress(b"[]")
         header = {
-            "version": 5, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
-            "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0,
+            "version": retrieval.INDEX_VERSION, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
+            "run_count": 0, "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0,
         }
         path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + ids)
         with pytest.raises(CorpusError, match="index has no documents"):
@@ -548,8 +544,17 @@ class TestPersistence:
     def test_newer_version_is_rejected(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        rewrite_header(path, version=6)
-        with pytest.raises(CorpusError, match="version 6 .*re-run `graphfc index`"):
+        newer = retrieval.INDEX_VERSION + 1
+        rewrite_header(path, version=newer)
+        with pytest.raises(CorpusError, match=f"version {newer} .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    def test_version_5_file_is_rejected(self, tmp_path, tiny_index):
+        # v5 stored every posting's weight, where v6 stores runs of equal weight.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=5)
+        with pytest.raises(CorpusError, match="version 5 .*re-run `graphfc index`"):
             load_index(str(path))
 
     def test_version_4_file_is_rejected(self, tmp_path, tiny_index):
@@ -571,12 +576,25 @@ class TestPersistence:
     @given(corpora())
     @settings(max_examples=examples(50), deadline=None)
     def test_postings_are_stored_in_impact_order(self, docs):
+        # Each term's weight runs partition its postings, and within a term
+        # each run's weight is below the one before.
         for index in built_and_loaded(docs):
+            runs = list(zip(index.run_weights, index.run_ends))
+            seen = 0
             for term in index.terms:
                 start, end = index.span(term)
-                stored = list(zip(index.weights[start:end], index.ordinals[start:end]))
+                term_runs = [(weight, run_end) for weight, run_end in runs if start < run_end <= end]
+                seen += len(term_runs)
+                ends = [start] + [run_end for _, run_end in term_runs]
+                assert ends[-1] == end and all(map(int.__lt__, ends, ends[1:]))
+                weights = [weight for weight, _ in term_runs]
+                assert all(map(float.__gt__, weights, weights[1:]))
+                expanded = [weight for weight, run_start, run_end in zip(weights, ends, ends[1:])
+                            for _ in range(run_start, run_end)]
+                stored = list(zip(expanded, index.ordinals[start:end]))
                 assert stored == sorted(stored, key=lambda p: (-p[0], p[1]))
                 assert list(index.postings(term).items()) == [(o, w) for w, o in stored]
+            assert seen == len(runs)
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, tiny_index, monkeypatch):
         path = tmp_path / "index"
@@ -733,6 +751,37 @@ class TestPersistence:
         with pytest.raises(CorpusError, match="corrupt index: term 'x'"):
             loaded.postings("x")  # a failed first use caches nothing
 
+    @pytest.mark.parametrize("section,values,problem", [
+        ("run_ends", [3, 3], "has weight runs that do not partition its postings"),  # a run of no postings
+        ("run_ends", [3, 2], "has weight runs that do not partition its postings"),  # the ends decrease
+        ("run_ends", [2, 4], "has weight runs that do not partition its postings"),  # a run crosses into "y"
+        ("ordinals", [0, 0], "names a document twice"),
+    ])
+    def test_corrupt_term_is_rejected_on_first_use(self, tmp_path, tiny_index, section, values, problem):
+        # "x", the second term, holds postings 1 and 2, each its own weight run.
+        assert tiny_index.span("x") == (1, 3) and list(tiny_index.run_ends[1:3]) == [2, 3]
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        data = bytearray(path.read_bytes())
+        start = index_sections(bytes(data))[1][section][0] + 4  # the second uint32 of the section
+        data[start:start + 8] = b"".join(value.to_bytes(4, "little") for value in values)
+        path.write_bytes(bytes(data))
+        loaded = load_index(str(path))  # runs and ordinals are checked per term, on first use
+        for _ in range(2):  # a failed first use caches nothing
+            with pytest.raises(CorpusError, match=f"corrupt index: term 'x' {problem}, in {re.escape(str(path))}$"):
+                search(loaded, "x y", k=3)
+        assert search(loaded, "q", k=3) == search(tiny_index, "q", k=3)
+
+    def test_last_run_must_end_the_postings(self, tmp_path, tiny_index):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        data = bytearray(path.read_bytes())
+        end = index_sections(bytes(data))[1]["run_ends"][1]
+        data[end - 4:end] = (tiny_index.bounds[-1] - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt weight runs"):
+            load_index(str(path))
+
 
 def rewrite_header(path, **changes):
     """Replace keys of a saved index's JSON header; the rest of the file stays."""
@@ -763,7 +812,8 @@ def index_sections(data: bytes):
     section("terms", len(terms))
     postings = uint32(section("ends", 4 * len(terms.split(b"\n"))))
     section("ordinals", 4 * postings)
-    section("weights", 8 * postings)
+    section("run_weights", 8 * header["run_count"])
+    section("run_ends", 4 * header["run_count"])
     section("ids", header["ids_bytes"])
     section("dictionary", header["dictionary_bytes"])
     streams = uint32(section("document_ends", 4 * header["doc_count"]))
