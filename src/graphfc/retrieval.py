@@ -4,21 +4,20 @@ The index is built in one pass and immutable afterwards, apart from caches
 that are safe to fill concurrently, so concurrent searches are safe.  Scoring
 is classic Okapi BM25 with the +1-smoothed natural-log IDF.  Every posting's
 query-independent BM25 weight is computed once, when the index is built, and
-stored in the index file (format v6), so loading an index computes nothing
+stored in the index file (format v7), so loading an index computes nothing
 per posting.  Each term's postings are stored in impact order, largest weight
 first (Anh & Moffat, 2006), so the unwalked rest of a list is bounded by its
 next weight, and equal weights sit next to each other: each run of them is
-stored as one weight and the run's end.  Search is exact top-k with an early
-stop in the manner of the threshold algorithm (Fagin, Lotem & Naor, 2003): it
-walks the lists a chunk at a time, rescores the documents still in contention
-exactly, and stops once the k-th best exact score beats everything the
-unwalked postings could add, so the tails of long lists (the stopwords') are
-not walked.
+stored as its length and the position of its weight in one table of every
+distinct weight.  Search is exact top-k with an early stop in the manner of
+the threshold algorithm (Fagin, Lotem & Naor, 2003): it walks the lists a
+chunk at a time, rescores the documents still in contention exactly, and
+stops once the k-th best exact score beats everything the unwalked postings
+could add, so the tails of long lists (the stopwords') are not walked.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import heapq
 import itertools
@@ -47,7 +46,7 @@ _PRUNE_SLACK = 1.0 + 1e-9
 _FIRST_CHUNK = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 6
+INDEX_VERSION = 7
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
 # How the document streams are compressed.  Deflate's fixed Huffman codes
@@ -137,6 +136,17 @@ def bm25_term_score(
     idf = bm25_idf(doc_count, doc_freq)
     norm = k1 * (1.0 - b + b * doc_len / avg_doc_len)
     return idf * tf * (k1 + 1.0) / (tf + norm)
+
+
+# The array typecode of each width, in bytes, that an index file stores
+# integers at.
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _width(largest: int) -> int:
+    """The fewest bytes, of 1, 2 or 4, that hold every integer from 0 to
+    ``largest``."""
+    return 1 if largest < 1 << 8 else 2 if largest < 1 << 16 else 4
 
 
 def _little_endian(values: array) -> array:
@@ -243,15 +253,19 @@ class Index:
     loaded.
 
     ``terms`` numbers every term, and term i's postings are the slice
-    ``bounds[i]:bounds[i + 1]`` (its ``span``) of the flat uint32 array
-    ``ordinals``: the documents holding the term, in impact order (descending
-    query-independent BM25 weight, ties by ascending ordinal).  ``end -
-    start`` is the term's document frequency.  The weights are stored as runs
-    of equal weight: run j holds ``run_weights[j]`` (float64) for the
-    postings from run j - 1's end (0 for the first run) to ``run_ends[j]``
-    (uint32).  Runs never cross a term's end, and within a term each run's
+    ``bounds[i]:bounds[i + 1]`` of the flat array ``ordinals``: the
+    documents holding the term, in impact order (descending
+    query-independent BM25 weight, ties by ascending ordinal); the slice's
+    length is the term's document frequency.  The weights are stored as runs
+    of equal weight: ``weight_table`` (float64) holds every distinct weight
+    once, largest first; run j covers ``run_lengths[j]`` postings and holds
+    the weight ``weight_table[run_codes[j]]``; term i's runs are
+    ``run_starts[i]:run_starts[i + 1]`` (uint32), and cover its postings in
+    order.  Runs never cross a term's end, and within a term each run's
     weight is below the one before, so a term's first run holds its largest
-    weight.  build_index computes the weights with the operations of
+    weight.  ``ordinals``, ``run_codes`` and ``run_lengths`` are each held at
+    the narrowest of 1, 2 or 4 bytes that holds their largest value
+    (``_width``).  build_index computes the weights with the operations of
     ``bm25_term_score`` in the same order, so a search only adds them up and
     its scores are bit-identical to summing ``bm25_term_score`` per posting.
     The weights are stored in the index file, so they are fixed at build
@@ -266,16 +280,18 @@ class Index:
     concurrent searches are safe.
     """
 
-    def __init__(self, documents: DocumentTable, terms, bounds, ordinals, run_weights, run_ends,
-                 k1, b, avg_doc_length):
+    def __init__(self, documents: DocumentTable, terms, bounds, ordinals, weight_table, run_starts,
+                 run_codes, run_lengths, k1, b, avg_doc_length):
         self.documents = documents
         if not documents:
             raise CorpusError("index has no documents")
         self.terms: dict = terms  # term -> its number
         self.bounds: array = bounds  # uint32: 0, then each term's end in ordinals
         self.ordinals: array = ordinals
-        self.run_weights: array = run_weights
-        self.run_ends: array = run_ends
+        self.weight_table: array = weight_table
+        self.run_starts: array = run_starts  # uint32: each term's first run, then the run count
+        self.run_codes: array = run_codes
+        self.run_lengths: array = run_lengths
         self.k1 = k1
         self.b = b
         self.doc_count = len(self.documents)
@@ -288,39 +304,40 @@ class Index:
         weight dict in impact order, or None for a term no document holds.
         The postings of one run share its weight's float object.  Raises
         CorpusError naming the file, on the term's first use rather than at
-        load, if the term's runs do not partition its postings, or if it
-        names a document twice or names no document (a corrupt file)."""
+        load, if the term's runs do not partition its postings, if its
+        weights do not strictly fall from run to run or a code lies past the
+        weight table, or if it names a document twice or names no document
+        (a corrupt file)."""
         entry = self._postings.get(term)
         if entry is None:
-            span = self.span(term)
-            if span is None:
+            number = self.terms.get(term)
+            if number is None:
                 return None
-            start, end = span
-            # The term's runs are those ending after its start and no later
-            # than its end; they must end strictly in turn, the last at its end.
-            first = bisect.bisect_right(self.run_ends, start)
-            last = bisect.bisect_right(self.run_ends, end, first)
-            ends = self.run_ends[first:last]
-            lengths = list(map(operator.sub, ends, itertools.chain((start,), ends)))
-            if not ends or ends[-1] != end or min(lengths) < 1:
+            start, end = self.bounds[number], self.bounds[number + 1]
+            first, last = self.run_starts[number], self.run_starts[number + 1]
+            codes, lengths = self.run_codes[first:last], self.run_lengths[first:last]
+            if not codes or sum(lengths) != end - start or not all(lengths):
                 raise self._corrupt(term, "has weight runs that do not partition its postings")
-            weights = itertools.chain.from_iterable(map(itertools.repeat, self.run_weights[first:last], lengths))
-            entry = dict(zip(self.ordinals[start:end], weights))
-            if len(entry) != end - start:
-                raise self._corrupt(term, "names a document twice")
+            table = self.weight_table
+            try:
+                weights = [table[code] for code in codes]
+            except IndexError:  # a code past the table
+                weights = []
+            if len(weights) != len(codes) or not all(map(operator.gt, weights, weights[1:])):
+                raise self._corrupt(term, "has weight runs out of impact order")
+            entry = dict(zip(
+                self.ordinals[start:end],
+                itertools.chain.from_iterable(map(itertools.repeat, weights, lengths)),
+            ))
             if max(entry) >= self.doc_count:  # the keys, already boxed, are quicker to scan
                 raise self._corrupt(term, f"names document {max(entry)}, past the last of {self.doc_count}")
+            if len(entry) != end - start:
+                raise self._corrupt(term, "names a document twice")
             self._postings[term] = entry
         return entry
 
     def _corrupt(self, term: str, problem: str) -> CorpusError:
         return CorpusError(f"corrupt index: term {term!r} {problem}, in {self.documents.source}")
-
-    def span(self, term: str) -> Optional[Tuple[int, int]]:
-        """``term``'s ``(start, end)`` slice of ``ordinals``, or None for a
-        term no document holds."""
-        number = self.terms.get(term)
-        return None if number is None else (self.bounds[number], self.bounds[number + 1])
 
     def get_document(self, doc_id: str) -> Optional[Document]:
         if self._by_id is None:  # only gold evidence looks documents up by id
@@ -365,7 +382,10 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
     norms = [k1 * (1.0 - b + b * n / avg_doc_length) for n in doc_lengths]
     scale = k1 + 1.0
     idfs: dict = {}  # doc_freq -> idf; most terms of a large vocabulary share a few
-    bounds, ordinals, run_weights, run_ends = array("I", [0]), array("I"), array("d"), array("I")
+    bounds, run_starts = array("I", [0]), array("I", [0])
+    ordinals = array(_TYPECODES[_width(len(documents) - 1)])
+    run_weights: List[float] = []
+    run_ends: List[int] = []
     for term_ordinals, tfs in postings.values():
         idf = idfs.get(len(term_ordinals))
         if idf is None:
@@ -382,8 +402,17 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
         run_weights.extend(itertools.compress(weights, run_last))
         run_ends.extend(itertools.compress(itertools.count(bounds[-1] + 1), run_last))
         bounds.append(bounds[-1] + len(term_ordinals))
+        run_starts.append(len(run_ends))
+    # Every distinct weight once, largest first, so each term's codes rise.
+    weight_table = array("d", sorted(set(run_weights), reverse=True))
+    code_of = dict(zip(weight_table, itertools.count()))
+    run_lengths = list(map(operator.sub, run_ends, itertools.chain((0,), run_ends)))
     terms = dict(zip(postings, itertools.count()))
-    return Index(DocumentTable.of(documents), terms, bounds, ordinals, run_weights, run_ends, k1, b, avg_doc_length)
+    return Index(
+        DocumentTable.of(documents), terms, bounds, ordinals, weight_table, run_starts,
+        array(_TYPECODES[_width(len(weight_table) - 1)], map(code_of.__getitem__, run_weights)),
+        array(_TYPECODES[_width(max(run_lengths))], run_lengths), k1, b, avg_doc_length,
+    )
 
 
 def search(index: Index, query: str, k: int) -> EvidenceBundle:
@@ -533,35 +562,46 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v6, one file holding, in this order:
+    """Write the index in format v7, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 6, ``k1``, ``b``, ``doc_count``,
-      ``avg_doc_length``, ``run_count`` (the number of weight runs), and the
-      byte lengths of the sections whose length nothing else gives:
-      ``terms_bytes``, ``ids_bytes`` and ``dictionary_bytes``;
+    - one line of JSON header: ``version`` 7, ``k1``, ``b``, ``doc_count``,
+      ``avg_doc_length``, ``weight_count`` (the number of distinct weights),
+      ``run_count`` (the number of weight runs), ``widths`` (the bytes per
+      item, 1, 2 or 4, of the ``ordinals``, the run ``codes`` and the run
+      ``lengths``), and the byte lengths of the sections whose length
+      nothing else gives: ``terms_bytes``, ``ids_bytes`` and
+      ``dictionary_bytes``;
     - the terms' UTF-8 bytes, joined by ``\\n`` (no term holds whitespace);
     - each term's posting end as one little-endian uint32 array: its
       postings are those from the previous term's end to its own;
-    - every posting's ordinal as one little-endian uint32 array, in term order
-      and, within a term, in impact order: descending weight, ties by
-      ascending ordinal;
-    - the postings' BM25 weights as runs of equal weight, in the same order:
-      each run's weight as one little-endian float64 array, then where each
-      run ends among the postings as one little-endian uint32 array.  A run
-      ends at every change of weight and at every term's end;
+    - every posting's ordinal as one little-endian array of unsigned
+      integers of the ordinals' width, in term order and, within a term, in
+      impact order: descending weight, ties by ascending ordinal;
+    - the postings' BM25 weights as runs of equal weight, in the same order.
+      A run ends at every change of weight and at every term's end.  They
+      are stored as the weight table, every distinct weight once as one
+      little-endian float64 array in strictly descending order; each term's
+      run end (the next term's first run number) as one little-endian uint32
+      array: its runs are those from the previous term's end to its own;
+      then each run's code, the position of its weight in the table, and
+      each run's length, its number of postings, as two little-endian arrays
+      of unsigned integers of their widths;
     - the doc_ids, in ordinal order, as a zlib-compressed ASCII JSON array;
     - the deflate dictionary the document streams are primed with;
     - each document stream's end, then each document's CRC-32, as two
       little-endian uint32 arrays of ``doc_count`` items;
     - the document streams, one after another (see DocumentTable).
 
-    Term frequencies and document lengths are not stored: the weights are
-    all a search reads.  A run costs 12 bytes against 8 for a weight stored
-    per posting, so the runs are smaller while they number fewer than two
-    thirds of the postings.  The same index always gives the same bytes.  The
-    file is written under a temporary name in the same directory and then
-    renamed over ``path``, so a failed write leaves any old file as it was.
+    Each width is the narrowest of 1, 2 or 4 bytes that holds the largest
+    value of its array: ``doc_count - 1`` for the ordinals.  Term frequencies
+    and document lengths are not stored: the weights are all a search reads.
+    A run costs its code and its length (3 bytes for a 2-byte code and a
+    1-byte length) where a weight stored per posting cost 8, plus 8 bytes
+    per distinct weight and 4 per term.  The same index always gives the
+    same bytes.  The file is written under a temporary name in the same
+    directory and then renamed over ``path``, so a failed write leaves any
+    old file as it was.
     """
     documents = index.documents
     terms = "\n".join(index.terms).encode("utf-8")
@@ -572,7 +612,13 @@ def save_index(index: Index, path: str) -> None:
         "b": index.b,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
-        "run_count": len(index.run_ends),
+        "weight_count": len(index.weight_table),
+        "run_count": len(index.run_codes),
+        "widths": {
+            "ordinals": index.ordinals.itemsize,
+            "codes": index.run_codes.itemsize,
+            "lengths": index.run_lengths.itemsize,
+        },
         "terms_bytes": len(terms),
         "ids_bytes": len(ids),
         "dictionary_bytes": len(documents.dictionary),
@@ -586,8 +632,10 @@ def save_index(index: Index, path: str) -> None:
             handle.write(terms)
             _little_endian(index.bounds[1:]).tofile(handle)
             _little_endian(index.ordinals).tofile(handle)
-            _little_endian(index.run_weights).tofile(handle)
-            _little_endian(index.run_ends).tofile(handle)
+            _little_endian(index.weight_table).tofile(handle)
+            _little_endian(index.run_starts[1:]).tofile(handle)
+            _little_endian(index.run_codes).tofile(handle)
+            _little_endian(index.run_lengths).tofile(handle)
             handle.write(ids)
             handle.write(documents.dictionary)
             _little_endian(documents.ends).tofile(handle)
@@ -629,17 +677,22 @@ def _read_header(path: str, line: bytes) -> dict:
         raise CorpusError(f"{path}: corrupt index header")
     if header.get("version") != INDEX_VERSION:
         raise _rebuild_error(path, header.get("version"))
-    sizes = [header.get(key) for key in ("doc_count", "run_count", "terms_bytes", "ids_bytes", "dictionary_bytes")]
+    sizes = [header.get(key) for key in (
+        "doc_count", "weight_count", "run_count", "terms_bytes", "ids_bytes", "dictionary_bytes",
+    )]
+    widths = header.get("widths")
     if not (
         set(map(type, sizes)) <= {int} and min(sizes) >= 0
         and {type(header.get(key)) for key in ("k1", "b", "avg_doc_length")} <= {int, float}
+        and isinstance(widths, dict) and sorted(widths) == ["codes", "lengths", "ordinals"]
+        and all(type(width) is int and width in _TYPECODES for width in widths.values())
     ):
         raise CorpusError(f"{path}: corrupt index header")
     return header
 
 
 def load_index(path: str) -> Index:
-    """Read an index written by save_index.
+    """Read an index in format v7, as written by save_index.
 
     Raises CorpusError naming ``path`` for a file that is not a graphfc
     index, for another format version (older files, JSON ones included, must
@@ -647,8 +700,8 @@ def load_index(path: str) -> Index:
     otherwise corrupt, and for an index with no documents.  No document is
     inflated here: a corrupt document stream raises CorpusError when that
     document is first read, and a term whose weight runs do not partition
-    its postings, or whose postings name a document twice or name no
-    document, when the term is first used.
+    its postings or are out of impact order, or whose postings name a
+    document twice or name no document, when the term is first used.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
@@ -680,11 +733,14 @@ def load_index(path: str) -> Index:
         bounds = array("I", [0]) + read_array("I", len(terms))
         if not all(map(operator.lt, bounds, itertools.islice(bounds, 1, None))):
             raise CorpusError(f"{path}: corrupt term list")  # a term without postings
-        ordinals = read_array("I", bounds[-1])
-        run_weights = read_array("d", header["run_count"])
-        run_ends = read_array("I", header["run_count"])
-        if (run_ends[-1] if run_ends else 0) != bounds[-1]:
-            raise CorpusError(f"{path}: corrupt weight runs")  # the last run must end the postings
+        widths = header["widths"]
+        ordinals = read_array(_TYPECODES[widths["ordinals"]], bounds[-1])
+        weight_table = read_array("d", header["weight_count"])
+        run_starts = array("I", [0]) + read_array("I", len(terms))
+        if run_starts[-1] != header["run_count"]:
+            raise CorpusError(f"{path}: corrupt weight runs")  # the last term's runs must end the runs
+        run_codes = read_array(_TYPECODES[widths["codes"]], header["run_count"])
+        run_lengths = read_array(_TYPECODES[widths["lengths"]], header["run_count"])
         ids_blob = read(header["ids_bytes"])
         try:
             ids = json.loads(zlib.decompress(ids_blob))
@@ -703,5 +759,6 @@ def load_index(path: str) -> Index:
         raise CorpusError(f"{path}: corrupt term list")  # a term listed twice
     return Index(
         DocumentTable(ids, dictionary, document_ends, crcs, streams, path), numbers, bounds,
-        ordinals, run_weights, run_ends, header["k1"], header["b"], header["avg_doc_length"],
+        ordinals, weight_table, run_starts, run_codes, run_lengths,
+        header["k1"], header["b"], header["avg_doc_length"],
     )

@@ -509,7 +509,8 @@ class TestPersistence:
         ids = zlib.compress(b"[]")
         header = {
             "version": retrieval.INDEX_VERSION, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
-            "run_count": 0, "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0,
+            "weight_count": 0, "run_count": 0, "widths": {"ordinals": 1, "codes": 1, "lengths": 1},
+            "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0,
         }
         path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + ids)
         with pytest.raises(CorpusError, match="index has no documents"):
@@ -549,6 +550,15 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f"version {newer} .*re-run `graphfc index`"):
             load_index(str(path))
 
+    def test_version_6_file_is_rejected(self, tmp_path, tiny_index):
+        # v6 stored a float64 weight and a uint32 end per run, where v7 stores
+        # a code into one table of the distinct weights and a length per run.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=6)
+        with pytest.raises(CorpusError, match="version 6 .*re-run `graphfc index`"):
+            load_index(str(path))
+
     def test_version_5_file_is_rejected(self, tmp_path, tiny_index):
         # v5 stored every posting's weight, where v6 stores runs of equal weight.
         path = tmp_path / "index"
@@ -576,25 +586,54 @@ class TestPersistence:
     @given(corpora())
     @settings(max_examples=examples(50), deadline=None)
     def test_postings_are_stored_in_impact_order(self, docs):
-        # Each term's weight runs partition its postings, and within a term
-        # each run's weight is below the one before.
+        # The weight table holds each run's weight once, in strictly
+        # descending order; each term's runs partition its postings with
+        # codes strictly rising, so within a term each run's weight is below
+        # the one before; each integer array is at its narrowest width.
         for index in built_and_loaded(docs):
-            runs = list(zip(index.run_weights, index.run_ends))
-            seen = 0
-            for term in index.terms:
-                start, end = index.span(term)
-                term_runs = [(weight, run_end) for weight, run_end in runs if start < run_end <= end]
-                seen += len(term_runs)
-                ends = [start] + [run_end for _, run_end in term_runs]
-                assert ends[-1] == end and all(map(int.__lt__, ends, ends[1:]))
-                weights = [weight for weight, _ in term_runs]
-                assert all(map(float.__gt__, weights, weights[1:]))
-                expanded = [weight for weight, run_start, run_end in zip(weights, ends, ends[1:])
-                            for _ in range(run_start, run_end)]
+            table = list(index.weight_table)
+            assert all(map(float.__gt__, table, table[1:]))
+            assert set(index.run_codes) == set(range(len(table)))
+            assert index.run_starts[0] == 0 and index.run_starts[-1] == len(index.run_codes) == len(index.run_lengths)
+            for values, largest in (
+                (index.ordinals, index.doc_count - 1),
+                (index.run_codes, len(table) - 1),
+                (index.run_lengths, max(index.run_lengths)),
+            ):
+                assert values.itemsize == retrieval._width(largest)
+            for term, number in index.terms.items():
+                start, end = index.bounds[number], index.bounds[number + 1]
+                first, last = index.run_starts[number], index.run_starts[number + 1]
+                codes, lengths = list(index.run_codes[first:last]), list(index.run_lengths[first:last])
+                assert codes and min(lengths) >= 1 and sum(lengths) == end - start
+                assert all(map(int.__lt__, codes, codes[1:]))
+                expanded = [table[code] for code, length in zip(codes, lengths) for _ in range(length)]
                 stored = list(zip(expanded, index.ordinals[start:end]))
                 assert stored == sorted(stored, key=lambda p: (-p[0], p[1]))
                 assert list(index.postings(term).items()) == [(o, w) for w, o in stored]
-            assert seen == len(runs)
+
+    def test_width_is_the_narrowest_that_holds_the_largest_value(self):
+        widths = [retrieval._width(largest) for largest in (0, 255, 256, 65_535, 65_536, 2 ** 32 - 1)]
+        assert widths == [1, 1, 2, 2, 4, 4]
+        assert [array(retrieval._TYPECODES[width]).itemsize for width in (1, 2, 4)] == [1, 2, 4]
+
+    def test_round_trip_with_two_byte_ordinals(self, tmp_path):
+        words = ["the", "of", "and", "zeta", "eta", "theta", "iota", "kappa"]
+        docs = [
+            Document(f"d{i:03d}", f"t{i % 7}", " ".join(words[(i * j) % 8] for j in range(1, 2 + i % 9)))
+            for i in range(300)
+        ]
+        index = build_index(docs)
+        path = tmp_path / "index"
+        save_index(index, str(path))
+        header, _ = index_sections(path.read_bytes())
+        assert header["widths"]["ordinals"] == 2  # 300 documents: ordinals up to 299
+        loaded = load_index(str(path))
+        assert loaded.ordinals.typecode == index.ordinals.typecode == "H"
+        for query in ("the zeta", "zeta eta of", "theta the and t3", "iota kappa t1", "of of kappa", "t6"):
+            for k in (1, 10, 300):
+                assert search(loaded, query, k) == search(index, query, k)
+        assert all(loaded.postings(term) == index.postings(term) for term in index.terms)
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, tiny_index, monkeypatch):
         path = tmp_path / "index"
@@ -611,7 +650,7 @@ class TestPersistence:
         monkeypatch.setattr(retrieval, "_little_endian", fail_on_the_weights)
         with pytest.raises(OSError, match="disk full"):
             save_index(tiny_index, str(path))
-        assert [values.typecode for values in calls] == ["I", "I", "d"]
+        assert [values.typecode for values in calls] == ["I", "B", "d"]
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["index"]
         monkeypatch.undo()
@@ -691,6 +730,20 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: index file is longer than its header says"):
             load_index(str(path))
 
+    @pytest.mark.parametrize("widths", [
+        {"ordinals": 1, "codes": 3, "lengths": 1},
+        {"ordinals": 8, "codes": 1, "lengths": 1},
+        {"ordinals": 1, "codes": 1, "lengths": True},
+        {"ordinals": 1, "codes": 1},
+        [1, 1, 1],
+    ])
+    def test_widths_must_be_1_2_or_4(self, tmp_path, tiny_index, widths):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, widths=widths)
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt index header"):
+            load_index(str(path))
+
     def test_term_list_is_checked(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
@@ -752,19 +805,28 @@ class TestPersistence:
             loaded.postings("x")  # a failed first use caches nothing
 
     @pytest.mark.parametrize("section,values,problem", [
-        ("run_ends", [3, 3], "has weight runs that do not partition its postings"),  # a run of no postings
-        ("run_ends", [3, 2], "has weight runs that do not partition its postings"),  # the ends decrease
-        ("run_ends", [2, 4], "has weight runs that do not partition its postings"),  # a run crosses into "y"
+        ("run_lengths", [0, 2], "has weight runs that do not partition its postings"),  # a run of no postings
+        ("run_lengths", [1, 2], "has weight runs that do not partition its postings"),  # 3 postings, not 2
+        ("run_starts", [0, 5], "has weight runs that do not partition its postings"),  # x's runs end before they start
         ("ordinals", [0, 0], "names a document twice"),
+        ("run_codes", [5, 3], "has weight runs out of impact order"),  # the weights rise
+        ("run_codes", [3, 6], "has weight runs out of impact order"),  # a code past the table
     ])
     def test_corrupt_term_is_rejected_on_first_use(self, tmp_path, tiny_index, section, values, problem):
-        # "x", the second term, holds postings 1 and 2, each its own weight run.
-        assert tiny_index.span("x") == (1, 3) and list(tiny_index.run_ends[1:3]) == [2, 3]
+        # "x", the second term, holds postings 1 and 2, each its own weight
+        # run (runs 1 and 2, codes 3 and 5 of the 6 distinct weights); the
+        # first three terms' runs end at run 1, 3 and 5.
+        assert tiny_index.terms["x"] == 1 and list(tiny_index.bounds[1:3]) == [1, 3]
+        assert list(tiny_index.run_lengths[1:3]) == [1, 1]
+        assert list(tiny_index.run_codes[1:3]) == [3, 5] and len(tiny_index.weight_table) == 6
+        assert list(tiny_index.run_starts[1:4]) == [1, 3, 5]
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = bytearray(path.read_bytes())
-        start = index_sections(bytes(data))[1][section][0] + 4  # the second uint32 of the section
-        data[start:start + 8] = b"".join(value.to_bytes(4, "little") for value in values)
+        header, sections = index_sections(bytes(data))
+        width = item_width(header, section)
+        start = sections[section][0] + width  # the second item of the section
+        data[start:start + 2 * width] = b"".join(value.to_bytes(width, "little") for value in values)
         path.write_bytes(bytes(data))
         loaded = load_index(str(path))  # runs and ordinals are checked per term, on first use
         for _ in range(2):  # a failed first use caches nothing
@@ -776,8 +838,8 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = bytearray(path.read_bytes())
-        end = index_sections(bytes(data))[1]["run_ends"][1]
-        data[end - 4:end] = (tiny_index.bounds[-1] - 1).to_bytes(4, "little")
+        end = index_sections(bytes(data))[1]["run_starts"][1]
+        data[end - 4:end] = (len(tiny_index.run_codes) - 1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt weight runs"):
             load_index(str(path))
@@ -809,11 +871,14 @@ def index_sections(data: bytes):
         return int.from_bytes(raw, "little")
 
     terms = data[header_end:header_end + header["terms_bytes"]]
+    term_count = len(terms.split(b"\n"))
     section("terms", len(terms))
-    postings = uint32(section("ends", 4 * len(terms.split(b"\n"))))
-    section("ordinals", 4 * postings)
-    section("run_weights", 8 * header["run_count"])
-    section("run_ends", 4 * header["run_count"])
+    postings = uint32(section("ends", 4 * term_count))
+    section("ordinals", item_width(header, "ordinals") * postings)
+    section("weight_table", 8 * header["weight_count"])
+    section("run_starts", 4 * term_count)
+    section("run_codes", item_width(header, "run_codes") * header["run_count"])
+    section("run_lengths", item_width(header, "run_lengths") * header["run_count"])
     section("ids", header["ids_bytes"])
     section("dictionary", header["dictionary_bytes"])
     streams = uint32(section("document_ends", 4 * header["doc_count"]))
@@ -821,6 +886,13 @@ def index_sections(data: bytes):
     section("streams", streams)
     assert at == len(data)
     return header, sections
+
+
+def item_width(header: dict, section: str) -> int:
+    """Bytes per item of one of the integer sections ``index_sections``
+    names, in a saved index with this header."""
+    widths = header["widths"]
+    return {"ordinals": widths["ordinals"], "run_codes": widths["codes"], "run_lengths": widths["lengths"]}.get(section, 4)
 
 
 def document_start(data: bytes, sections: dict, ordinal: int) -> int:
@@ -833,8 +905,10 @@ def set_ordinal_top_bytes(path, value: int = 0xFF):
     """Set the most significant byte of every posting ordinal in a saved
     index to ``value``; everything else stays."""
     data = bytearray(path.read_bytes())
-    start, end = index_sections(bytes(data))[1]["ordinals"]
-    data[start + 3:end:4] = bytes([value]) * ((end - start) // 4)  # uint32, little-endian
+    header, sections = index_sections(bytes(data))
+    start, end = sections["ordinals"]
+    width = item_width(header, "ordinals")
+    data[start + width - 1:end:width] = bytes([value]) * ((end - start) // width)  # little-endian
     path.write_bytes(bytes(data))
 
 
