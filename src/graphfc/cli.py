@@ -22,6 +22,7 @@ from .config import (
     ConfigError,
     RunConfig,
     build_backends,
+    check_output_dir,
     load_config,
 )
 from .evaluate import (
@@ -116,6 +117,7 @@ def _resolve_claim(args: argparse.Namespace, config: RunConfig):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    check_output_dir("--trace-out", args.trace_out)
     claim_id, claim_text, pregenerated, gold_ids = _resolve_claim(args, config)
     index = load_index(config.require_path("index_path"))
     backends, _ = build_backends(config)

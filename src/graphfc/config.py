@@ -101,6 +101,8 @@ class RunConfig:
             self.pipeline_options()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for name in ("index_path", "report_path", "traces_path"):
+            check_output_dir(name, getattr(self, name))
 
     def require_path(self, attribute: str) -> str:
         value = getattr(self, attribute)
@@ -109,6 +111,13 @@ class RunConfig:
         if not os.path.exists(value):
             raise ConfigError(f"{attribute} path does not exist: {value}")
         return value
+
+
+def check_output_dir(name: str, path: Optional[str]) -> None:
+    """Reject a ``path`` in a directory that does not exist, before any work."""
+    directory = os.path.dirname(path or "")
+    if directory and not os.path.isdir(directory):
+        raise ConfigError(f"{name}: directory does not exist: {directory}")
 
 
 def _scalar_fields(cls) -> Dict[str, type]:
@@ -173,6 +182,7 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
             split_http_url(section.endpoint)
         except ValueError as exc:
             raise ConfigError(f"backend {role}: {exc}") from None
+    check_output_dir(f"backend {role}: cache_path", section.cache_path)
     return section
 
 

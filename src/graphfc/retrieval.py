@@ -9,11 +9,11 @@ per posting.  Each term's postings are stored in impact order, largest weight
 first (Anh & Moffat, 2006), so the unwalked rest of a list is bounded by its
 next weight, and equal weights sit next to each other: each run of them is
 stored as its length and the position of its weight in one table of every
-distinct weight.  Search is exact top-k with an early stop in the manner of
-the threshold algorithm (Fagin, Lotem & Naor, 2003): it walks the lists a
-chunk at a time, rescores the documents still in contention exactly, and
-stops once the k-th best exact score beats everything the unwalked postings
-could add, so the tails of long lists (the stopwords') are not walked.
+distinct weight.  Search is exact top-k by the threshold algorithm (Fagin,
+Lotem & Naor, 2003): it walks the lists a chunk at a time, scores every
+document it reaches exactly, and stops once the k-th best score beats
+everything the unwalked postings could add, so the tails of long lists (the
+stopwords') are not walked.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 CONCAT_SEPARATOR = "\n"
 GOLD_SCORE = float("inf")
-# Relative margin on both pruning comparisons in ``search``.  A float sum of
+# Relative margin on the stop rule in ``search``, which compares exact scores
+# summed in query order with bounds summed in another order.  A float sum of
 # n positive weights is within n ulps of any reordering of it, so 1e-9 covers
 # queries of millions of terms and is far below the score gaps that matter.
 _PRUNE_SLACK = 1.0 + 1e-9
@@ -349,8 +350,9 @@ class Index:
 def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
     """Index ``title + " " + text`` of every document.
 
-    Raises CorpusError on an empty corpus or a duplicate doc_id, and
-    ValueError for out-of-range BM25 parameters.
+    Raises CorpusError on an empty corpus, one in which no document holds a
+    token, or a duplicate doc_id, and ValueError for out-of-range BM25
+    parameters.
     """
     if k1 <= 0:
         raise ValueError(f"k1 must be > 0, got {k1}")
@@ -378,18 +380,17 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
         doc_lengths.append(len(tokens))
     if not documents:
         raise CorpusError("index has no documents")
+    if not postings:
+        raise CorpusError("no document holds a token")
     avg_doc_length = sum(doc_lengths) / len(documents)
     norms = [k1 * (1.0 - b + b * n / avg_doc_length) for n in doc_lengths]
     scale = k1 + 1.0
-    idfs: dict = {}  # doc_freq -> idf; most terms of a large vocabulary share a few
     bounds, run_starts = array("I", [0]), array("I", [0])
     ordinals = array(_TYPECODES[_width(len(documents) - 1)])
     run_weights: List[float] = []
     run_ends: List[int] = []
     for term_ordinals, tfs in postings.values():
-        idf = idfs.get(len(term_ordinals))
-        if idf is None:
-            idf = idfs[len(term_ordinals)] = bm25_idf(len(documents), len(term_ordinals))
+        idf = bm25_idf(len(documents), len(term_ordinals))
         # Impact order: a stable sort keeps equal weights in ascending ordinal order.
         ranked = sorted(
             zip([idf * tf * scale / (tf + norms[o]) for o, tf in zip(term_ordinals, tfs)], term_ordinals),
@@ -429,20 +430,16 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     search walks the items of the ordinal -> weight dicts ``Index.postings``
     builds on each term's first use, one chunk at a time (``_FIRST_CHUNK``,
     then twice the size of the term's previous chunk), from the term whose
-    unwalked postings have the largest bound, and sums each document's
-    partial score.  A walked document whose partial score plus the unwalked
-    bounds could still reach the k-th best exact score found so far is
-    rescored exactly, term by term in query order, from the same dicts; so
-    every returned score is bit-identical to summing ``bm25_term_score`` per
-    posting.  The
-    search stops once the k-th best exact score beats the sum of the unwalked
-    bounds: a document not yet seen cannot reach the top k, not even in a
-    tie, and neither can a walked one left unrescored, because the k-th best
-    exact score only rises and the unwalked bounds only fall.  Both
-    comparisons carry the relative margin ``_PRUNE_SLACK``: partial sums add
-    in another order than the exact ones, so a near tie may swap sides by
-    rounding, and the margin keeps both sides.  A query of stopwords only
-    walks most of its postings and rescores most of the documents it meets.
+    unwalked postings have the largest bound.  Every document the walk
+    reaches is scored exactly once, term by term in query order, from the
+    same dicts, so every returned score is bit-identical to summing
+    ``bm25_term_score`` per posting.  The search stops once the k-th best
+    score beats the sum of the unwalked bounds: a document not yet reached
+    cannot score more than that sum, so it cannot reach the top k, not even
+    in a tie.  The comparison carries the relative margin ``_PRUNE_SLACK``,
+    because the bounds add in another order than the exact scores and a near
+    tie may swap sides by rounding.  A query of stopwords only walks most of
+    its postings.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -466,27 +463,21 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
             score += weight_of.get(ordinal, 0.0)
         return score
 
-    partial: dict = {}  # ordinal -> sum of its walked postings' weights
-    exact_scores: dict = {}  # ordinal -> score, for the documents rescored
+    exact_scores: dict = {}  # ordinal -> exact score, for every walked document
     top: list = []  # min-heap of the k best exact scores
     while cursors:
         cursor = max(cursors, key=bound)
-        items, head, left, size, m = cursor
+        items, head, left, size, _ = cursor
         chunk = [head, *itertools.islice(items, min(size, left) - 1)]
         if size >= left:
             cursors.remove(cursor)
         else:
             cursor[1:4] = next(items), left - size, 2 * size
-        rest = sum(map(bound, cursors))
-        get = partial.get
-        for ordinal, weight in chunk:
-            if ordinal in exact_scores:
-                continue
-            partial[ordinal] = score = get(ordinal, 0.0) + m * weight
-            if len(top) < k or (score + rest) * _PRUNE_SLACK >= top[0]:
+        for ordinal, _ in chunk:
+            if ordinal not in exact_scores:
                 exact_scores[ordinal] = score = exact(ordinal)
                 (heapq.heappush if len(top) < k else heapq.heappushpop)(top, score)
-        if len(top) == k and top[0] > rest * _PRUNE_SLACK:
+        if len(top) == k and top[0] > sum(map(bound, cursors)) * _PRUNE_SLACK:
             break
     if not top:
         return EMPTY_BUNDLE

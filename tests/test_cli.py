@@ -108,6 +108,25 @@ class TestIndexCommand:
         assert code == cli.EXIT_DATA == 2
         assert capsys.readouterr().err.startswith(f"data error: {corpus}:2: not UTF-8 (")
 
+    def test_corpus_without_a_token_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "title": "", "text": "!!"}\n')
+        code = cli.main([
+            "index", "--corpus", str(corpus), "--index", str(tmp_path / "i.json"),
+        ])
+        assert code == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == "data error: no document holds a token\n"
+
+    def test_index_path_in_a_missing_directory_is_config_error_before_the_build(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_index", None)  # a build would be an internal error
+        paths = build_eval_fixture(tmp_path / "run")
+        missing = tmp_path / "nodir"
+        code = cli.main(["index", "--config", paths["config"], "--index", str(missing / "i.json")])
+        assert code == cli.EXIT_CONFIG == 1
+        assert capsys.readouterr().err == f"config error: index_path: directory does not exist: {missing}\n"
+        assert not missing.exists()
+
     def test_truncated_index_is_data_error(self, fixture, capsys):
         with open(fixture["index"], "r+b") as handle:
             handle.truncate(os.path.getsize(fixture["index"]) // 2)
@@ -229,6 +248,17 @@ class TestVerifyCommand:
         assert exit_info.value.code == cli.EXIT_CONFIG
         assert "verify requires --claim or --claim-id" in capsys.readouterr().err
 
+    def test_trace_out_in_a_missing_directory_is_config_error_before_the_run(
+            self, fixture, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_pipeline", None)  # a run would be an internal error
+        missing = tmp_path / "nodir"
+        code = cli.main([
+            "verify", "--config", fixture["config"], "--claim-id", "gph02",
+            "--trace-out", str(missing / "trace.json"),
+        ])
+        assert code == cli.EXIT_CONFIG == 1
+        assert capsys.readouterr().err == f"config error: --trace-out: directory does not exist: {missing}\n"
+
     def test_backend_failure_exits_3(self, fixture, capsys):
         with socket.socket() as probe:  # a local port that nothing listens on
             probe.bind(("127.0.0.1", 0))
@@ -328,6 +358,28 @@ class TestEvalCommand:
         assert cli.main([
             "eval", "--config", fixture["config"], "--dataset", str(empty),
         ]) == 2
+
+    @pytest.mark.parametrize("flag, key", [("--report", "report_path"), ("--traces", "traces_path")])
+    def test_output_in_a_missing_directory_is_config_error_before_any_claim(
+            self, fixture, tmp_path, capsys, monkeypatch, flag, key):
+        monkeypatch.setattr(cli, "run_eval", None)  # a run would be an internal error
+        missing = tmp_path / "nodir"
+        code = cli.main(["eval", "--config", fixture["config"], flag, str(missing / "out")])
+        assert code == cli.EXIT_CONFIG == 1
+        assert capsys.readouterr().err == f"config error: {key}: directory does not exist: {missing}\n"
+        assert not os.path.exists(fixture["report"]) and not os.path.exists(fixture["traces"])
+
+    def test_cache_in_a_missing_directory_is_config_error_before_any_request(
+            self, fixture, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_eval", None)  # a run would be an internal error
+        missing = tmp_path / "nodir"
+        config = json.loads(Path(fixture["config"]).read_text())
+        config["backends"]["default"]["cache_path"] = str(missing / "cache.jsonl")
+        Path(fixture["config"]).write_text(json.dumps(config))
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_CONFIG == 1
+        assert capsys.readouterr().err == (
+            f"config error: backend default: cache_path: directory does not exist: {missing}\n"
+        )
 
     def test_malformed_cache_line_is_data_error(self, fixture, capsys):
         row = {"key": "k1", "text": "v", "input_tokens": 1, "output_tokens": 1}

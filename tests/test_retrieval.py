@@ -102,6 +102,11 @@ class TestBuildIndex:
         with pytest.raises(CorpusError):
             build_index([])
 
+    def test_corpus_without_a_token_errors(self):
+        # The average document length would be 0, and every norm divides by it.
+        with pytest.raises(CorpusError, match="no document holds a token"):
+            build_index([Document("a", "", "!!"), Document("b", "", "")])
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             build_index(TINY, k1=0)
@@ -434,6 +439,21 @@ class TestPrunedSearchMatchesReference:
             assert got == brute_force_search(index, query, 10)
             # "is" and "in" hold 303 postings each
             assert sum(entry.read for entry in index._postings.values()) < 303 / 4
+
+    @_FIRST_CHUNKS
+    def test_every_walked_document_is_scored_once_the_top_k_is_full(self, first_chunk):
+        # "a" heads the list of "x", the term walked first, and fills the top
+        # 1 at once.  "b", next in that list, weighs less on "x" but more in
+        # all: a rule that stopped scoring walked documents once the top k is
+        # full, without a bound on what they could still score, returns "a".
+        docs = [Document("a", "", "x"), Document("b", "", "x y")]
+        docs += [Document(f"p{i}", "", "y pad pad") for i in range(4)]
+        for index in built_and_loaded(docs):
+            x_a, x_b = index.postings("x")[0], index.postings("x")[1]
+            assert x_a > x_b and x_a > max(index.postings("y").values())
+            got = pruned_search(index, "x y", 1, first_chunk)
+            assert got == brute_force_search(index, "x y", 1)
+            assert got[0][0] == "b"
 
     @_FIRST_CHUNKS
     def test_stopword_only_query(self, first_chunk):
