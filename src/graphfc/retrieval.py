@@ -13,7 +13,10 @@ distinct weight.  Search is exact top-k by the threshold algorithm (Fagin,
 Lotem & Naor, 2003): it walks the lists a chunk at a time, scores every
 document it reaches exactly, and stops once the k-th best score beats
 everything the unwalked postings could add, so the tails of long lists (the
-stopwords') are not walked.
+stopwords') are not walked.  Scoring a document reads its weight in every
+query term, so each term's weights are held for lookup by ordinal, built on
+the term's first use: a common term's as one slot per document, a rarer
+term's as a dict of the documents that hold it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ _PRUNE_SLACK = 1.0 + 1e-9
 # Postings in a term's first chunk in ``search``; each later chunk of the
 # same term is twice the size of the one before.
 _FIRST_CHUNK = 8
+# ``Index.postings`` holds a term's weights as a row, a list of one slot per
+# document, when the term is in more than one document in _ROW_SHARE.  A row
+# costs 8 bytes per document, a pointer per slot (the weights are shared
+# float objects), so 64 bytes per posting for a term in one document in 8.
+# An ordinal -> weight dict costs 60 to 90 bytes per posting: 30 to 60 in
+# its hash table, by how full the table is, and 32 for the boxed ordinal key.
+_ROW_SHARE = 8
 
 INDEX_MAGIC = "graphfc-index"
 INDEX_VERSION = 7
@@ -273,8 +283,8 @@ class Index:
     time.
 
     The index is immutable after construction apart from three caches: the
-    ordinal -> weight dicts ``postings`` builds for a term the first time the
-    term is used, the documents ``documents`` inflates when first read, and
+    weights ``postings`` lays out for lookup by ordinal the first time a term
+    is used, the documents ``documents`` inflates when first read, and
     the doc_id -> ordinal dict ``get_document`` builds on its first call.
     Filling them is idempotent: two threads touching a term, a document or
     the dict at once build equal values and either may keep its own, so
@@ -298,12 +308,17 @@ class Index:
         self.doc_count = len(self.documents)
         self.avg_doc_length = avg_doc_length
         self._by_id: Optional[dict] = None  # doc_id -> ordinal
-        self._postings: dict = {}  # term -> {ordinal: weight}
+        self._postings: dict = {}  # term -> its weights by ordinal, a row or a dict
 
-    def postings(self, term: str) -> Optional[dict]:
-        """``term``'s weight in each document holding it, as an ordinal ->
-        weight dict in impact order, or None for a term no document holds.
-        The postings of one run share its weight's float object.  Raises
+    def postings(self, term: str) -> Optional[list | dict]:
+        """``term``'s weights by ordinal, or None for a term no document
+        holds.  A term in more than one document in ``_ROW_SHARE`` gets a
+        row: a list of one slot per document, holding 0.0 for a document
+        without the term.  Any other term gets an ordinal -> weight dict of
+        the documents holding it, in impact order.  Either way the postings
+        of one run share its weight's float object, and every weight is
+        above 0.0, so looking a document up in the row, or in the dict with
+        0.0 as the default, gives the same float.  Raises
         CorpusError naming the file, on the term's first use rather than at
         load, if the term's runs do not partition its postings, if its
         weights do not strictly fall from run to run or a code lies past the
@@ -326,16 +341,27 @@ class Index:
                 weights = []
             if len(weights) != len(codes) or not all(map(operator.gt, weights, weights[1:])):
                 raise self._corrupt(term, "has weight runs out of impact order")
-            entry = dict(zip(
-                self.ordinals[start:end],
-                itertools.chain.from_iterable(map(itertools.repeat, weights, lengths)),
-            ))
-            if max(entry) >= self.doc_count:  # the keys, already boxed, are quicker to scan
-                raise self._corrupt(term, f"names document {max(entry)}, past the last of {self.doc_count}")
-            if len(entry) != end - start:
+            ordinals = self.ordinals[start:end]
+            weighted = itertools.chain.from_iterable(map(itertools.repeat, weights, lengths))
+            if _ROW_SHARE * (end - start) > self.doc_count:
+                entry = [0.0] * self.doc_count
+                try:  # the deque only drives the map, which fills the row
+                    collections.deque(map(entry.__setitem__, ordinals, weighted), maxlen=0)
+                except IndexError:  # an ordinal past the row
+                    raise self._past_the_end(term, ordinals) from None
+                held = self.doc_count - entry.count(0.0)  # every stored weight is > 0
+            else:
+                entry = dict(zip(ordinals, weighted))
+                if max(entry) >= self.doc_count:  # the keys, already boxed, are quicker to scan
+                    raise self._past_the_end(term, ordinals)
+                held = len(entry)
+            if held != end - start:
                 raise self._corrupt(term, "names a document twice")
             self._postings[term] = entry
         return entry
+
+    def _past_the_end(self, term: str, ordinals: array) -> CorpusError:
+        return self._corrupt(term, f"names document {max(ordinals)}, past the last of {self.doc_count}")
 
     def _corrupt(self, term: str, problem: str) -> CorpusError:
         return CorpusError(f"corrupt index: term {term!r} {problem}, in {self.documents.source}")
@@ -427,12 +453,13 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
 
     A term's postings are in impact order, so what its unwalked postings can
     add to a score is bounded by its multiplicity times its next weight.  The
-    search walks the items of the ordinal -> weight dicts ``Index.postings``
-    builds on each term's first use, one chunk at a time (``_FIRST_CHUNK``,
-    then twice the size of the term's previous chunk), from the term whose
-    unwalked postings have the largest bound.  Every document the walk
-    reaches is scored exactly once, term by term in query order, from the
-    same dicts, so every returned score is bit-identical to summing
+    search walks each term's stored ordinals, one chunk at a time
+    (``_FIRST_CHUNK``, then twice the size of the term's previous chunk),
+    from the term whose unwalked postings have the largest bound.  Every
+    document the walk reaches is scored exactly once, term by term in query
+    order, by looking it up in each term's weights from ``Index.postings``
+    (a row's slot, or a dict's entry with 0.0 for a missing one; adding 0.0
+    changes no score), so every returned score is bit-identical to summing
     ``bm25_term_score`` per posting.  The search stops once the k-th best
     score beats the sum of the unwalked bounds: a document not yet reached
     cannot score more than that sum, so it cannot reach the top k, not even
@@ -447,33 +474,34 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     counts = collections.Counter(terms)
     postings = {term: index.postings(term) for term in counts}
     in_query_order = [postings[term] for term in terms]
-    # Per term not yet walked to its end: [its dict's items iterator, the
-    # next (ordinal, weight) item, items left, chunk size, multiplicity].
+    ordinals, bounds = index.ordinals, index.bounds
+    # Per term not yet walked to its end: [the bound on its unwalked
+    # postings, the position in ordinals of its next posting, its end there,
+    # chunk size, multiplicity, its weights].
     cursors = []
     for term, m in counts.items():
-        items = iter(postings[term].items())
-        cursors.append([items, next(items), len(postings[term]), _FIRST_CHUNK, m])
-
-    def bound(cursor: list) -> float:
-        return cursor[4] * cursor[1][1]
+        number, weights = index.terms[term], postings[term]
+        start = bounds[number]
+        cursors.append([m * weights[ordinals[start]], start, bounds[number + 1], _FIRST_CHUNK, m, weights])
+    bound = operator.itemgetter(0)
 
     def exact(ordinal: int) -> float:
         score = 0.0
-        for weight_of in in_query_order:
-            score += weight_of.get(ordinal, 0.0)
+        for weight_of in in_query_order:  # a row's absent slots hold 0.0, as get's default
+            score += weight_of[ordinal] if weight_of.__class__ is list else weight_of.get(ordinal, 0.0)
         return score
 
     exact_scores: dict = {}  # ordinal -> exact score, for every walked document
     top: list = []  # min-heap of the k best exact scores
     while cursors:
         cursor = max(cursors, key=bound)
-        items, head, left, size, _ = cursor
-        chunk = [head, *itertools.islice(items, min(size, left) - 1)]
-        if size >= left:
+        _, start, end, size, m, weights = cursor
+        stop = min(start + size, end)
+        if stop == end:
             cursors.remove(cursor)
         else:
-            cursor[1:4] = next(items), left - size, 2 * size
-        for ordinal, _ in chunk:
+            cursor[:4] = m * weights[ordinals[stop]], stop, end, 2 * size
+        for ordinal in ordinals[start:stop]:
             if ordinal not in exact_scores:
                 exact_scores[ordinal] = score = exact(ordinal)
                 (heapq.heappush if len(top) < k else heapq.heappushpop)(top, score)

@@ -71,6 +71,15 @@ def closed_form(tf, df, doc_len, n_docs=3, avgdl=13 / 3, k1=1.2, b=0.75):
     return idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * doc_len / avgdl))
 
 
+def impact_ordered(index, term):
+    """``term``'s postings as an ordinal -> weight dict in impact order: its
+    stored ordinals, each with its weight read from ``index.postings``,
+    whichever form that keeps the weights in."""
+    weights = index.postings(term)
+    number = index.terms[term]
+    return {o: weights[o] for o in index.ordinals[index.bounds[number]:index.bounds[number + 1]]}
+
+
 class TestTokenize:
     def test_punctuation_split(self):
         assert tokenize("Issaquah, Washington") == ["issaquah", "washington"]
@@ -121,9 +130,9 @@ class TestBuildIndex:
             Document("geragos", "Mark Geragos", "Mark Geragos was involved in the scandal."),
         ]
         index = build_index(docs)
-        assert index.postings("shakespeare") == {0: bm25_term_score(1, 1, 2, 10, 9.5)}
+        assert impact_ordered(index, "shakespeare") == {0: bm25_term_score(1, 1, 2, 10, 9.5)}
         # once in title, once in text
-        assert index.postings("mab") == {0: bm25_term_score(2, 1, 2, 10, 9.5)}
+        assert impact_ordered(index, "mab") == {0: bm25_term_score(2, 1, 2, 10, 9.5)}
 
 
 class TestSearch:
@@ -262,7 +271,7 @@ class TestProperties:
                     bm25_term_score(tf, len(ordinals), n, lengths[o], avg)
                     for o, tf in zip(ordinals, tfs)
                 ]
-                assert index.postings(term) == dict(zip(ordinals, weights))
+                assert impact_ordered(index, term) == dict(zip(ordinals, weights))
 
     @given(st.integers(min_value=1, max_value=50))
     @settings(max_examples=examples(30), deadline=None)
@@ -373,15 +382,31 @@ _FIRST_CHUNKS = pytest.mark.parametrize("first_chunk", [1, 2, retrieval._FIRST_C
 _QUERIES = st.lists(st.one_of(_RARE, _FREQUENT, st.just("filler")), min_size=1, max_size=8).map(" ".join)
 
 
-class ItemsCounter(dict):
-    """A postings dict that counts the items its ``items()`` iterators yield."""
+def _mixed_forms_corpus():
+    """80 documents: "the" in all, "of" in 40, "iota" in 11, "kappa" in 10,
+    "zeta" in 4 and "eta" in 1, at varied term frequencies and lengths."""
+    docs = []
+    for i in range(80):
+        words = ["the"] * (1 + i % 3) + ["of"] * (i % 2 == 0) + ["pad"] * (i % 11)
+        words += ["iota"] * (i % 7 == 3 and i < 77) + ["kappa"] * (1 + i % 2) * (i % 8 == 5)
+        words += ["zeta"] * (i in (2, 9, 40, 41)) * (1 + i % 2) + ["eta"] * (i == 50)
+        docs.append(Document(f"m{i:02d}", "", " ".join(words)))
+    return docs
 
-    read = 0
 
-    def items(self):
-        for item in super().items():
-            self.read += 1
-            yield item
+class SliceCounter:
+    """Stands in for ``Index.ordinals`` and counts the postings that slices
+    of it hold: the postings ``search`` walks."""
+
+    def __init__(self, ordinals):
+        self.ordinals = ordinals
+        self.read = 0
+
+    def __getitem__(self, key):
+        got = self.ordinals[key]
+        if isinstance(key, slice):
+            self.read += len(got)
+        return got
 
 
 def pruned_search(index, query, k, first_chunk):
@@ -433,12 +458,37 @@ class TestPrunedSearchMatchesReference:
         ]
         index = build_index(docs)
         for query in ("zeta is in", "zeta is mentioned in zeta."):
-            search(index, query, 10)  # each term's first use builds its whole dict
-            index._postings = {term: ItemsCounter(entry) for term, entry in index._postings.items()}
-            got = [(doc.doc_id, score) for doc, score in search(index, query, 10).docs]
+            search(index, query, 10)  # each term's first use reads its whole list
+            walked = SliceCounter(index.ordinals)
+            with mock.patch.object(index, "ordinals", walked):
+                got = [(doc.doc_id, score) for doc, score in search(index, query, 10).docs]
             assert got == brute_force_search(index, query, 10)
             # "is" and "in" hold 303 postings each
-            assert sum(entry.read for entry in index._postings.values()) < 303 / 4
+            assert walked.read < 303 / 4
+
+    @_FIRST_CHUNKS
+    def test_rows_and_dicts_in_one_query(self, first_chunk):
+        # "the", "of" and "iota" are held as rows, "kappa", "zeta" and "eta"
+        # as dicts, and the query repeats "the" and "zeta".
+        docs = _mixed_forms_corpus()
+        query = "zeta the kappa of eta the iota zeta"
+        for index in built_and_loaded(docs):
+            assert {type(index.postings(term)) for term in ("the", "of", "iota")} == {list}
+            assert {type(index.postings(term)) for term in ("kappa", "zeta", "eta")} == {dict}
+            for k in (1, 10, len(docs)):
+                assert pruned_search(index, query, k, first_chunk) == brute_force_search(index, query, k)
+
+    def test_a_term_in_more_than_an_eighth_of_the_documents_is_a_row(self):
+        # 80 documents: "iota" is in 11 of them, "kappa" in 10, one eighth.
+        index = build_index(_mixed_forms_corpus())
+        assert index.doc_count == 80
+        the = index.postings("the")  # in every document
+        assert type(the) is list and len(the) == index.doc_count and 0.0 not in the
+        iota = index.postings("iota")
+        assert type(iota) is list and len(iota) == index.doc_count
+        assert sum(weight > 0.0 for weight in iota) == 11
+        assert type(index.postings("kappa")) is dict and len(index.postings("kappa")) == 10
+        assert type(index.postings("eta")) is dict and len(index.postings("eta")) == 1  # in one document
 
     @_FIRST_CHUNKS
     def test_every_walked_document_is_scored_once_the_top_k_is_full(self, first_chunk):
@@ -449,8 +499,8 @@ class TestPrunedSearchMatchesReference:
         docs = [Document("a", "", "x"), Document("b", "", "x y")]
         docs += [Document(f"p{i}", "", "y pad pad") for i in range(4)]
         for index in built_and_loaded(docs):
-            x_a, x_b = index.postings("x")[0], index.postings("x")[1]
-            assert x_a > x_b and x_a > max(index.postings("y").values())
+            x_a, x_b = impact_ordered(index, "x")[0], impact_ordered(index, "x")[1]
+            assert x_a > x_b and x_a > max(impact_ordered(index, "y").values())
             got = pruned_search(index, "x y", 1, first_chunk)
             assert got == brute_force_search(index, "x y", 1)
             assert got[0][0] == "b"
@@ -489,7 +539,7 @@ class TestPrunedSearchMatchesReference:
         docs += [Document(f"f{i}", "", "y " + "q " * (i + 3)) for i in range(3)]
         docs += [Document(f"n{i}", "", "n " * (i + 1)) for i in range(3)]
         for index in built_and_loaded(docs):
-            x, y = index.postings("x")[0], index.postings("y")[0]
+            x, y = impact_ordered(index, "x")[0], impact_ordered(index, "y")[0]
             assert (x + y) + x > 2 * x + y
             got = pruned_search(index, "x y x", 1, first_chunk)
             assert got == brute_force_search(index, "x y x", 1) == [("a", (x + y) + x)]
@@ -630,7 +680,7 @@ class TestPersistence:
                 expanded = [table[code] for code, length in zip(codes, lengths) for _ in range(length)]
                 stored = list(zip(expanded, index.ordinals[start:end]))
                 assert stored == sorted(stored, key=lambda p: (-p[0], p[1]))
-                assert list(index.postings(term).items()) == [(o, w) for w, o in stored]
+                assert list(impact_ordered(index, term).items()) == [(o, w) for w, o in stored]
 
     def test_width_is_the_narrowest_that_holds_the_largest_value(self):
         widths = [retrieval._width(largest) for largest in (0, 255, 256, 65_535, 65_536, 2 ** 32 - 1)]
@@ -824,24 +874,36 @@ class TestPersistence:
         with pytest.raises(CorpusError, match="corrupt index: term 'x'"):
             loaded.postings("x")  # a failed first use caches nothing
 
+    # "x" is in 2 of TINY's 3 documents, so its weights are held as a row,
+    # and in 2 of the 16 documents here, so as a dict.
+    @pytest.mark.parametrize("docs", [TINY, TINY + [Document(f"p{i:02d}", "", "pad") for i in range(13)]],
+                             ids=["row", "dict"])
     @pytest.mark.parametrize("section,values,problem", [
         ("run_lengths", [0, 2], "has weight runs that do not partition its postings"),  # a run of no postings
         ("run_lengths", [1, 2], "has weight runs that do not partition its postings"),  # 3 postings, not 2
         ("run_starts", [0, 5], "has weight runs that do not partition its postings"),  # x's runs end before they start
         ("ordinals", [0, 0], "names a document twice"),
         ("run_codes", [5, 3], "has weight runs out of impact order"),  # the weights rise
-        ("run_codes", [3, 6], "has weight runs out of impact order"),  # a code past the table
+        ("run_codes", [3, "weight_count"], "has weight runs out of impact order"),  # a code past the table
+        ("ordinals", [1, "doc_count"], "names document {doc_count}, past the last of {doc_count}"),
     ])
-    def test_corrupt_term_is_rejected_on_first_use(self, tmp_path, tiny_index, section, values, problem):
+    def test_corrupt_term_is_rejected_on_first_use(self, tmp_path, docs, section, values, problem):
         # "x", the second term, holds postings 1 and 2, each its own weight
-        # run (runs 1 and 2, codes 3 and 5 of the 6 distinct weights); the
-        # first three terms' runs end at run 1, 3 and 5.
-        assert tiny_index.terms["x"] == 1 and list(tiny_index.bounds[1:3]) == [1, 3]
-        assert list(tiny_index.run_lengths[1:3]) == [1, 1]
-        assert list(tiny_index.run_codes[1:3]) == [3, 5] and len(tiny_index.weight_table) == 6
-        assert list(tiny_index.run_starts[1:4]) == [1, 3, 5]
+        # run (runs 1 and 2, codes 3 and 5 of the 6 distinct weights, or 1
+        # and 5 of 7 with the padding); the first three terms' runs end at
+        # run 1, 3 and 5.  A value named by a string is that count of the
+        # index.
+        index, row = build_index(docs), docs is TINY
+        assert index.terms["x"] == 1 and list(index.bounds[1:3]) == [1, 3]
+        assert list(index.run_lengths[1:3]) == [1, 1]
+        assert list(index.run_codes[1:3]) == [3 if row else 1, 5] and len(index.weight_table) == 6 + (not row)
+        assert list(index.run_starts[1:4]) == [1, 3, 5]
+        assert type(index.postings("x")) is (list if row else dict)
+        counts = {"doc_count": index.doc_count, "weight_count": len(index.weight_table)}
+        values = [counts.get(value, value) for value in values]
+        problem = problem.format(**counts)
         path = tmp_path / "index"
-        save_index(tiny_index, str(path))
+        save_index(index, str(path))
         data = bytearray(path.read_bytes())
         header, sections = index_sections(bytes(data))
         width = item_width(header, section)
@@ -852,7 +914,7 @@ class TestPersistence:
         for _ in range(2):  # a failed first use caches nothing
             with pytest.raises(CorpusError, match=f"corrupt index: term 'x' {problem}, in {re.escape(str(path))}$"):
                 search(loaded, "x y", k=3)
-        assert search(loaded, "q", k=3) == search(tiny_index, "q", k=3)
+        assert search(loaded, "q", k=3) == search(index, "q", k=3)
 
     def test_last_run_must_end_the_postings(self, tmp_path, tiny_index):
         path = tmp_path / "index"
