@@ -359,7 +359,8 @@ class ScriptedBackend:
     A matcher is an exact prompt string or a predicate.  When several
     registrations match, repeated matching calls consume them in registration
     order, sticking at the last one.  An unmatched prompt raises BackendError
-    naming the prompt's first 80 characters.
+    naming the prompt's first 80 characters.  ``call_count`` counts every
+    call, an unmatched one included; the requests themselves are not kept.
     """
 
     def __init__(self, model: str = "scripted", ledger: Optional[CostLedger] = None):
@@ -368,7 +369,7 @@ class ScriptedBackend:
         self._registrations: List[Registration] = []
         self._lock = threading.Lock()
         self._seen: Dict[tuple, int] = {}
-        self.calls: List[GenRequest] = []
+        self._calls = 0
 
     def register(self, matcher: Matcher, response: Response) -> "ScriptedBackend":
         if not callable(matcher):
@@ -384,7 +385,7 @@ class ScriptedBackend:
     @property
     def call_count(self) -> int:
         with self._lock:
-            return len(self.calls)
+            return self._calls
 
     def complete(self, req: GenRequest) -> GenResponse:
         matched = [
@@ -393,7 +394,7 @@ class ScriptedBackend:
             if matches(req.prompt)
         ]
         with self._lock:
-            self.calls.append(req)
+            self._calls += 1
             if not matched:
                 raise BackendError(
                     f"no scripted response for prompt: {req.prompt[:80]!r}"

@@ -16,7 +16,8 @@ everything the unwalked postings could add, so the tails of long lists (the
 stopwords') are not walked.  Scoring a document reads its weight in every
 query term, so each term's weights are held for lookup by ordinal, built on
 the term's first use: a common term's as one slot per document, a rarer
-term's as a dict of the documents that hold it.
+term's as a dict of the documents that hold it.  A loaded index leaves the
+documents' compressed streams in its file and reads each on first use.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import operator
 import os
 import re
 import sys
+import weakref
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -201,21 +203,23 @@ class DocumentTable(Sequence):
     as one raw-deflate stream primed with ``dictionary``: inflated, the
     title's UTF-8 byte length as a little-endian uint32, then the title's
     and the text's UTF-8 bytes.  ``ends[i]`` is where document i's stream
-    ends in ``streams`` (it starts where document i - 1's ends), and
-    ``crcs[i]`` is the CRC-32 of its inflated bytes.  A document is
-    inflated, checked and built the first time it is read, then kept (see
-    ``Index`` on why that is safe from any thread), whether the table was
-    made by ``of`` or loaded.  ``source`` names the file in the errors raised
-    for a corrupt document or posting.
+    ends among the streams (it starts where document i - 1's ends), and
+    ``crcs[i]`` is the CRC-32 of its inflated bytes.  ``read(start, end)``
+    returns the streams' bytes from ``start`` to ``end``: a table made by
+    ``of`` slices them in memory, and a loaded one (``in_file``) reads them
+    from its index file, where they stay.  A document is read, inflated,
+    checked and built the first time it is read, then kept (see ``Index`` on
+    why that is safe from any thread).  ``source`` names the file in the
+    errors raised for a corrupt document or posting.
     """
 
     def __init__(self, ids: List[str], dictionary: bytes, ends: array, crcs: array,
-                 streams: bytes, source: str):
+                 read: Callable[[int, int], bytes], source: str):
         self.ids = ids
         self.dictionary = dictionary
         self.ends = ends
         self.crcs = crcs
-        self.streams = streams
+        self.read = read
         self.source = source
         self._built: List[Optional[Document]] = [None] * len(ids)
 
@@ -232,7 +236,36 @@ class DocumentTable(Sequence):
             streams.append(deflater.compress(raw) + deflater.flush())
             crcs.append(zlib.crc32(raw))
         ends = array("I", itertools.accumulate(map(len, streams)))
-        return cls([doc.doc_id for doc in documents], dictionary, ends, crcs, b"".join(streams), "index")
+        joined = b"".join(streams)
+        return cls([doc.doc_id for doc in documents], dictionary, ends, crcs,
+                   lambda start, end: joined[start:end], "index")
+
+    @classmethod
+    def in_file(cls, handle, source: str, ids: List[str], dictionary: bytes, ends: array,
+                crcs: array) -> "DocumentTable":
+        """The table whose streams lie in the open index file ``handle``,
+        from its current position on.  The table reads a stream with one
+        ``os.pread`` from its own duplicate of the file's descriptor, which
+        it closes when it is collected.  So it keeps reading the file it was
+        loaded from after that file is renamed over or deleted, and reads
+        from any thread, or forked process, share no file offset and need no
+        lock.  A read that fails or comes up short (the file was cut in
+        place) raises CorpusError naming ``source``."""
+        offset = handle.tell()
+        descriptor = os.dup(handle.fileno())
+
+        def read(start: int, end: int) -> bytes:
+            try:
+                data = os.pread(descriptor, end - start, offset + start)
+            except OSError as exc:
+                raise CorpusError(f"{source}: cannot read the document streams ({exc})") from None
+            if len(data) != end - start:
+                raise CorpusError(f"{source}: index file is truncated")
+            return data
+
+        table = cls(ids, dictionary, ends, crcs, read, source)
+        weakref.finalize(table, os.close, descriptor)
+        return table
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -241,10 +274,10 @@ class DocumentTable(Sequence):
         doc = self._built[ordinal]  # IndexError past either end
         if doc is None:
             ordinal %= len(self._built)
-            start = self.ends[ordinal - 1] if ordinal else 0
+            stream = self.read(self.ends[ordinal - 1] if ordinal else 0, self.ends[ordinal])
             inflater = zlib.decompressobj(-15, zdict=self.dictionary)
             try:
-                raw = inflater.decompress(self.streams[start:self.ends[ordinal]])
+                raw = inflater.decompress(stream)
                 if not inflater.eof or inflater.unused_data or zlib.crc32(raw) != self.crcs[ordinal]:
                     raise ValueError("its CRC-32 does not match")
                 title_end = 4 + int.from_bytes(raw[:4], "little")
@@ -321,9 +354,9 @@ class Index:
         0.0 as the default, gives the same float.  Raises
         CorpusError naming the file, on the term's first use rather than at
         load, if the term's runs do not partition its postings, if its
-        weights do not strictly fall from run to run or a code lies past the
-        weight table, or if it names a document twice or names no document
-        (a corrupt file)."""
+        weights do not strictly fall from run to run and stay above 0.0 or a
+        code lies past the weight table, or if it names a document twice or
+        names no document (a corrupt file)."""
         entry = self._postings.get(term)
         if entry is None:
             number = self.terms.get(term)
@@ -339,7 +372,8 @@ class Index:
                 weights = [table[code] for code in codes]
             except IndexError:  # a code past the table
                 weights = []
-            if len(weights) != len(codes) or not all(map(operator.gt, weights, weights[1:])):
+            # Strictly falling and above 0.0, which a NaN also fails.
+            if len(weights) != len(codes) or not all(map(operator.gt, weights, [*weights[1:], 0.0])):
                 raise self._corrupt(term, "has weight runs out of impact order")
             ordinals = self.ordinals[start:end]
             weighted = itertools.chain.from_iterable(map(itertools.repeat, weights, lengths))
@@ -610,7 +644,8 @@ def save_index(index: Index, path: str) -> None:
     - the deflate dictionary the document streams are primed with;
     - each document stream's end, then each document's CRC-32, as two
       little-endian uint32 arrays of ``doc_count`` items;
-    - the document streams, one after another (see DocumentTable).
+    - the document streams, one after another (see DocumentTable); a loaded
+      index's are read from the file it was loaded from.
 
     Each width is the narrowest of 1, 2 or 4 bytes that holds the largest
     value of its array: ``doc_count - 1`` for the ordinals.  Term frequencies
@@ -659,7 +694,7 @@ def save_index(index: Index, path: str) -> None:
             handle.write(documents.dictionary)
             _little_endian(documents.ends).tofile(handle)
             _little_endian(documents.crcs).tofile(handle)
-            handle.write(documents.streams)
+            handle.write(documents.read(0, documents.ends[-1]))
         os.replace(partial, path)
     except BaseException:
         os.remove(partial)
@@ -716,11 +751,15 @@ def load_index(path: str) -> Index:
     Raises CorpusError naming ``path`` for a file that is not a graphfc
     index, for another format version (older files, JSON ones included, must
     be rebuilt), for a file that is truncated, longer than its header says or
-    otherwise corrupt, and for an index with no documents.  No document is
-    inflated here: a corrupt document stream raises CorpusError when that
-    document is first read, and a term whose weight runs do not partition
-    its postings or are out of impact order, or whose postings name a
-    document twice or name no document, when the term is first used.
+    otherwise corrupt, and for an index with no documents.  The document
+    streams are left in the file: the index keeps the file open and reads
+    each document's stream when that document is first read
+    (``DocumentTable.in_file``).  So the file must not be rewritten in place
+    while the index is in use; save_index replaces it by a rename, which is
+    safe.  A corrupt or unreadable document stream raises CorpusError when
+    that document is first read, and a term whose weight runs do not
+    partition its postings or are out of impact order, or whose postings
+    name a document twice or name no document, when the term is first used.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
@@ -770,14 +809,15 @@ def load_index(path: str) -> Index:
         dictionary = read(header["dictionary_bytes"])
         document_ends = read_array("I", len(ids))
         crcs = read_array("I", len(ids))
-        streams = read(document_ends[-1] if ids else 0)
-        if handle.read(1):
+        streams_bytes = document_ends[-1] if ids else 0
+        check_left(streams_bytes)
+        if streams_bytes < file_bytes - handle.tell():
             raise CorpusError(f"{path}: index file is longer than its header says")
-    numbers = dict(zip(terms, itertools.count()))
-    if len(numbers) != len(terms):
-        raise CorpusError(f"{path}: corrupt term list")  # a term listed twice
+        numbers = dict(zip(terms, itertools.count()))
+        if len(numbers) != len(terms):
+            raise CorpusError(f"{path}: corrupt term list")  # a term listed twice
+        documents = DocumentTable.in_file(handle, path, ids, dictionary, document_ends, crcs)
     return Index(
-        DocumentTable(ids, dictionary, document_ends, crcs, streams, path), numbers, bounds,
-        ordinals, weight_table, run_starts, run_codes, run_lengths,
+        documents, numbers, bounds, ordinals, weight_table, run_starts, run_codes, run_lengths,
         header["k1"], header["b"], header["avg_doc_length"],
     )

@@ -4,16 +4,25 @@ backend suites for the band-claim scenario used across the suite."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from graphfc.backend import BackendSuite, ScriptedBackend
 from graphfc.graph import parse_graph
 from graphfc.retrieval import Document, build_index
 
-# ``pytest --hypothesis-profile=ci`` runs five times Hypothesis' default
-# number of examples; tests that set their own count scale it to match
-# through ``examples``.
-settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
+# Hypothesis shrinks a failing example by rerunning the test on smaller
+# ones, and a rerun here may build an index and run a reference scorer, so a
+# broken search can shrink for ten minutes or more before it reports.  The
+# suite's profiles leave shrinking out: a failure still fails, on the example
+# as found.  ``pytest --hypothesis-profile=shrink`` puts it back, to debug
+# one failure locally.  ``--hypothesis-profile=ci`` runs five times
+# Hypothesis' default number of examples; tests that set their own count
+# scale it to match through ``examples``.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+settings.register_profile("default", phases=_NO_SHRINK)
+settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples, phases=_NO_SHRINK)
+settings.register_profile("shrink", phases=list(Phase))
+settings.load_profile("default")
 
 
 def examples(n):

@@ -84,11 +84,12 @@ class TestScriptedBackend:
         assert backend.complete(greedy("echo me")).text == "ECHO ME"
 
     def test_call_log(self):
-        backend = ScriptedBackend().register_contains("hi", response="yo")
+        prompts = []
+        backend = ScriptedBackend().register_contains("hi", response=lambda p: prompts.append(p) or "yo")
         backend.complete(greedy("hi there"))
         backend.complete(greedy("hi again"))
         assert backend.call_count == 2
-        assert [c.prompt for c in backend.calls] == ["hi there", "hi again"]
+        assert prompts == ["hi there", "hi again"]
 
 
 class TestCachedBackend:

@@ -11,11 +11,14 @@ import collections
 import json
 import math
 import os
+import random
 import re
+import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import zlib
 from array import array
 from unittest import mock
@@ -916,6 +919,26 @@ class TestPersistence:
                 search(loaded, "x y", k=3)
         assert search(loaded, "q", k=3) == search(index, "q", k=3)
 
+    @pytest.mark.parametrize("docs", [TINY, TINY + [Document(f"p{i:02d}", "", "pad") for i in range(13)]],
+                             ids=["row", "dict"])
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_weight_not_above_zero_is_rejected_on_first_use(self, tmp_path, docs, weight):
+        # x's second and smaller weight is entry 5 of the weight table; it
+        # becomes a weight no stored posting can hold.
+        index = build_index(docs)
+        assert index.run_codes[index.run_starts[index.terms["x"] + 1] - 1] == 5
+        path = tmp_path / "index"
+        save_index(index, str(path))
+        data = bytearray(path.read_bytes())
+        start = index_sections(bytes(data))[1]["weight_table"][0] + 8 * 5
+        data[start:start + 8] = struct.pack("<d", weight)
+        path.write_bytes(bytes(data))
+        loaded = load_index(str(path))
+        for _ in range(2):  # a failed first use caches nothing
+            with pytest.raises(CorpusError, match=f"corrupt index: term 'x' has weight runs out of impact order, "
+                                                  f"in {re.escape(str(path))}$"):
+                search(loaded, "x", k=3)
+
     def test_last_run_must_end_the_postings(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
@@ -1002,6 +1025,70 @@ def set_document_crcs(path, value: int = 0):
     path.write_bytes(bytes(data))
 
 
+def punctuation_corpus(count: int, size: int):
+    """``count`` documents of about ``size`` bytes each, nearly all of it
+    seeded random punctuation, which holds no token and deflates poorly: the
+    document streams are most of the index file."""
+    rng = random.Random(7)
+    marks = "!#$%&()*+,-./:;<=>?@[]^{|}~"
+    return [
+        Document(f"d{i:03d}", f"title {i % 10}", "".join(rng.choices(marks, k=size)) + f" word{i % 7}")
+        for i in range(count)
+    ]
+
+
+class TestStreamsStayInTheFile:
+    def test_load_holds_under_half_the_streams_in_memory(self, tmp_path):
+        path = tmp_path / "index"
+        save_index(build_index(punctuation_corpus(300, 3000)), str(path))
+        start, end = index_sections(path.read_bytes())[1]["streams"]
+        tracemalloc.start()
+        try:
+            loaded = load_index(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert end - start > 600_000
+        assert peak < (end - start) / 2
+        assert loaded.documents[299].text.endswith(" word5")
+
+    def test_documents_outlive_their_file_name(self, tmp_path):
+        docs = punctuation_corpus(20, 200)
+        path = tmp_path / "index"
+        save_index(build_index(docs), str(path))
+        replaced, deleted = load_index(str(path)), load_index(str(path))
+        save_index(build_index(TINY), str(path))  # renamed over the loaded file
+        assert list(replaced.documents) == docs
+        assert list(load_index(str(path)).documents) == TINY
+        os.remove(path)
+        assert list(deleted.documents) == docs
+
+    def test_file_cut_in_place_after_load_fails_on_first_read(self, tmp_path):
+        docs = punctuation_corpus(20, 200)
+        path = tmp_path / "index"
+        save_index(build_index(docs), str(path))
+        loaded = load_index(str(path))
+        streams_at = index_sections(path.read_bytes())[1]["streams"][0]
+        os.truncate(path, streams_at + loaded.documents.ends[17] + 1)  # one byte of document 18's stream
+        assert [loaded.documents[o] for o in range(18)] == docs[:18]
+        for ordinal in (18, 19):
+            for _ in range(2):  # a failed first read keeps nothing
+                with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: index file is truncated$"):
+                    loaded.documents[ordinal]
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: index file is truncated$"):
+            save_index(loaded, str(tmp_path / "copy"))
+        assert os.listdir(tmp_path) == ["index"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_indexes_leave_no_descriptor_open(self, tmp_path):
+        path = tmp_path / "index"
+        save_index(build_index(TINY), str(path))
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            assert load_index(str(path)).documents[1] == TINY[1]
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 class TestConcurrentFirstTouch:
     def test_threads_searching_a_fresh_index_agree(self, tmp_path):
         words = ["the", "of", "and", "zeta", "eta", "theta", "iota", "kappa"]
@@ -1063,6 +1150,33 @@ class TestConcurrentFirstTouch:
                 assert list(index.documents) == docs
         finally:
             sys.setswitchinterval(switch)
+
+    def test_eight_threads_reading_every_document_get_the_built_documents(self, tmp_path):
+        index = build_index(punctuation_corpus(400, 100))
+        path = tmp_path / "index"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        start = threading.Barrier(8, timeout=30)
+        results = [None] * 8
+
+        def run(slot):
+            order = list(range(slot * 50, 400)) + list(range(slot * 50))
+            start.wait()
+            read = {ordinal: loaded.documents[ordinal] for ordinal in order}
+            results[slot] = [read[ordinal] for ordinal in range(400)]
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [list(index.documents)] * 8
 
 
 def test_importing_retrieval_loads_no_backend_or_pipeline():
