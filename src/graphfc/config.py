@@ -55,6 +55,12 @@ class BackendConfig:
     max_attempts: int = 3
     retry_base_delay: float = 1.0
 
+    def policy(self, role: str) -> GenPolicy:
+        """The generation rules this section gives ``role``; GenPolicy checks them."""
+        default = DEFAULT_POLICIES.get(role, GenPolicy()).max_new_tokens
+        tokens = default if self.max_new_tokens is None else self.max_new_tokens
+        return GenPolicy(tokens, self.temperature, self.top_p)
+
 
 @dataclass
 class RunConfig:
@@ -161,13 +167,14 @@ def _backend_config(role: str, raw: dict) -> BackendConfig:
         name: _checked(f"backend {role}: {name}", value, _BACKEND_FIELDS[name])
         for name, value in raw.items() if value is not None
     })
+    try:
+        section.policy(role)
+    except ValueError as exc:
+        raise ConfigError(f"backend {role}: {exc}") from None
     for name, holds, bound in (
-        ("max_new_tokens", section.max_new_tokens is None or section.max_new_tokens >= 1, ">= 1"),
         ("max_attempts", section.max_attempts >= 1, ">= 1"),
         ("timeout", section.timeout > 0, "> 0"),
         ("retry_base_delay", section.retry_base_delay >= 0, ">= 0"),
-        ("temperature", section.temperature >= 0, ">= 0"),
-        ("top_p", 0 < section.top_p <= 1, "in (0, 1]"),
     ):
         if not holds:
             raise ConfigError(
@@ -294,9 +301,5 @@ def build_backends(config: RunConfig, ledger: Optional[CostLedger] = None):
         if name not in built:
             built[name] = _build_one(role, section, ledger, caches)
         roles[role] = built[name]
-        policies[role] = GenPolicy(
-            max_new_tokens=section.max_new_tokens or DEFAULT_POLICIES[role].max_new_tokens,
-            temperature=section.temperature,
-            top_p=section.top_p,
-        )
+        policies[role] = section.policy(role)
     return BackendSuite(**roles, policies=policies), caches

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
@@ -117,6 +118,9 @@ def load_dataset(path: str, fmt: str) -> List[ClaimRecord]:
             raise DataError(f"{where}: unknown label {raw_label!r}")
         if not (isinstance(text, str) and text):
             raise DataError(f"{where}: claim text is not a non-empty string: {text!r}")
+        graph = row.get("pregenerated_graph")
+        if graph is not None and not isinstance(graph, str):
+            raise DataError(f"{where}: pregenerated_graph is not a string: {graph!r}")
         records.append(
             ClaimRecord(
                 id=rid,
@@ -124,7 +128,7 @@ def load_dataset(path: str, fmt: str) -> List[ClaimRecord]:
                 label=label,
                 hops=_row_hops(row, where),
                 gold_doc_ids=_gold_ids(row, where),
-                pregenerated_graph=row.get("pregenerated_graph"),
+                pregenerated_graph=graph,
             )
         )
     if dropped:
@@ -132,21 +136,24 @@ def load_dataset(path: str, fmt: str) -> List[ClaimRecord]:
     return records
 
 
-def _class_counts(preds: List[Label], golds: List[Label], cls: Label) -> dict:
-    tp = sum(1 for p, g in zip(preds, golds) if p is cls and g is cls)
-    fp = sum(1 for p, g in zip(preds, golds) if p is cls and g is not cls)
-    fn = sum(1 for p, g in zip(preds, golds) if p is not cls and g is cls)
-    tn = len(preds) - tp - fp - fn
-    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+_CLASSES = (Label.SUPPORTED, Label.NOT_SUPPORTED)
 
 
-def _f1(counts: dict) -> float:
-    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+def _class_counts(matrix: Counter) -> dict:
+    """Each class's tp/fp/fn/tn, from a (prediction, label) confusion matrix."""
+    return {cls.value: {"tp": matrix[cls, cls], "fp": matrix[cls, other],
+                        "fn": matrix[other, cls], "tn": matrix[other, other]}
+            for cls, other in (_CLASSES, _CLASSES[::-1])}
+
+
+def _macro_f1(counts: dict) -> float:
+    """Unweighted mean of the per-class F1 of ``_class_counts``."""
+    def f1(tp, fp, fn, tn):
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+    return sum(f1(**c) for c in counts.values()) / 2.0
 
 
 def macro_f1(preds: List[Label], golds: List[Label]) -> float:
@@ -156,10 +163,7 @@ def macro_f1(preds: List[Label], golds: List[Label]) -> float:
     """
     if not preds or len(preds) != len(golds):
         raise ValueError("preds and golds must be non-empty and of equal length")
-    return sum(
-        _f1(_class_counts(preds, golds, cls))
-        for cls in (Label.SUPPORTED, Label.NOT_SUPPORTED)
-    ) / 2.0
+    return _macro_f1(_class_counts(Counter(zip(preds, golds))))
 
 
 def recall_at_k(evidence: EvidenceBundle, gold_doc_ids) -> float:
@@ -170,51 +174,44 @@ def recall_at_k(evidence: EvidenceBundle, gold_doc_ids) -> float:
     return len(set(evidence.doc_ids) & gold) / len(gold)
 
 
-@dataclass
-class _Row:
-    record: ClaimRecord
-    trace: VerdictTrace
+class _Tally:
+    """One group's metrics (overall, or one hop count), folded claim by claim:
+    the (prediction, label) confusion matrix and, per route, the claims, the
+    correct ones, and the sum and count of the direct-evidence recalls (added
+    one at a time, so the mean does not depend on how ``sum()`` rounds)."""
 
-    @property
-    def pred(self) -> Label:
-        return self.trace.final
+    def __init__(self) -> None:
+        self.matrix: Counter = Counter()
+        self.routed: Counter = Counter()
+        self.correct: Counter = Counter()
+        self.recall_sum: Counter = Counter()
+        self.recalled: Counter = Counter()
 
+    def add(self, record: ClaimRecord, trace: VerdictTrace) -> None:
+        route = trace.strategy.value
+        self.matrix[trace.final, record.label] += 1
+        self.routed[route] += 1
+        self.correct[route] += trace.final is record.label
+        if record.gold_doc_ids and trace.direct_evidence is not None:
+            self.recall_sum[route] += recall_at_k(trace.direct_evidence, record.gold_doc_ids)
+            self.recalled[route] += 1
 
-def _strategy_group(rows: List[_Row], value: str, total: int) -> dict:
-    members = [r for r in rows if r.trace.strategy.value == value]
-    n = len(members)
-    correct = sum(1 for r in members if r.pred is r.record.label)
-    recalls = [
-        recall_at_k(r.trace.direct_evidence, r.record.gold_doc_ids)
-        for r in members
-        if r.record.gold_doc_ids and r.trace.direct_evidence is not None
-    ]
-    return {
-        "n": n,
-        "fraction": n / total if total else 0.0,
-        "accuracy": correct / n if n else None,
-        "recall_at_k": sum(recalls) / len(recalls) if recalls else None,
-    }
-
-
-def _group_metrics(rows: List[_Row]) -> dict:
-    preds = [r.pred for r in rows]
-    golds = [r.record.label for r in rows]
-    counts = {
-        cls.value: _class_counts(preds, golds, cls)
-        for cls in (Label.SUPPORTED, Label.NOT_SUPPORTED)
-    }
-    n = len(rows)
-    return {
-        "n": n,
-        "accuracy": sum(1 for p, g in zip(preds, golds) if p is g) / n,
-        "macro_f1": macro_f1(preds, golds),
-        "counts": counts,
-        "strategy": {
-            DIRECT: _strategy_group(rows, DIRECT, n),
-            GRAPHCHECK: _strategy_group(rows, GRAPHCHECK, n),
-        },
-    }
+    def metrics(self) -> dict:
+        n = sum(self.matrix.values())
+        counts = _class_counts(self.matrix)
+        return {
+            "n": n,
+            "accuracy": sum(self.matrix[cls, cls] for cls in _CLASSES) / n,
+            "macro_f1": _macro_f1(counts),
+            "counts": counts,
+            "strategy": {route: {
+                "n": self.routed[route],
+                "fraction": self.routed[route] / n,
+                "accuracy": self.correct[route] / self.routed[route] if self.routed[route] else None,
+                "recall_at_k": (self.recall_sum[route] / self.recalled[route]
+                                if self.recalled[route] else None),
+            } for route in (DIRECT, GRAPHCHECK)},
+        }
 
 
 @dataclass
@@ -310,39 +307,39 @@ def run_eval(
 
     started = time.monotonic()
     abort_limit = ABORT_ERROR_FRACTION * len(records)
-    rows: List[_Row] = []
+    overall = _Tally()
+    per_hop: Dict[str, _Tally] = defaultdict(_Tally)
+    traces: List[VerdictTrace] = []
     errored: List[str] = []
     partial = False
 
     executor = ThreadPoolExecutor(max_workers=max(1, workers))
     try:
         futures = [executor.submit(evaluate_one, record) for record in records]
-        try:
-            for record, future in zip(records, futures):
+        for record, future in zip(records, futures):
+            try:
                 trace = future.result()
-                rows.append(_Row(record, trace))
-                if trace.error:
-                    errored.append(record.id)
-                    if len(errored) > abort_limit:
-                        raise AbortThresholdError(
-                            f"{len(errored)} of {len(records)} claims errored "
-                            f"(> {ABORT_ERROR_FRACTION:.0%} threshold)"
-                        )
-        except KeyboardInterrupt:
-            if not rows:
-                raise
-            partial = True
-            logger.warning("interrupted; draining workers and emitting partial report")
+            except KeyboardInterrupt:
+                if not traces:
+                    raise
+                partial = True
+                logger.warning("interrupted; draining workers and emitting partial report")
+                break
+            traces.append(trace)
+            overall.add(record, trace)
+            per_hop[str(record.hops) if record.hops is not None else "unknown"].add(record, trace)
+            if trace.error:
+                errored.append(record.id)
+                if len(errored) > abort_limit:
+                    raise AbortThresholdError(
+                        f"{len(errored)} of {len(records)} claims errored "
+                        f"(> {ABORT_ERROR_FRACTION:.0%} threshold)"
+                    )
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 
     wall = time.monotonic() - started
-    done = len(rows)
-    per_hop: Dict[str, List[_Row]] = {}
-    for row in rows:
-        key = str(row.record.hops) if row.record.hops is not None else "unknown"
-        per_hop.setdefault(key, []).append(row)
-
+    done = len(traces)
     totals = ledger.totals() if ledger is not None else None
     per_purpose = (
         {p: t.cost / done * 1000.0 for p, t in ledger.per_purpose().items()}
@@ -360,8 +357,8 @@ def run_eval(
             "graphcheck_strategy": opts.graphcheck_strategy.value,
             "n_claims": done,
         },
-        overall=_group_metrics(rows),
-        per_hop={hop: _group_metrics(group) for hop, group in per_hop.items()},
+        overall=overall.metrics(),
+        per_hop={hop: tally.metrics() for hop, tally in per_hop.items()},
         errors=errored,
         cost={
             "total_usd_per_1k": (totals.cost / done * 1000.0) if totals and done else 0.0,
@@ -373,4 +370,4 @@ def run_eval(
         },
         partial=partial,
     )
-    return report, [row.trace for row in rows]
+    return report, traces

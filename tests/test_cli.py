@@ -322,6 +322,19 @@ class TestEvalCommand:
             "hops is not an integer: 'two'\n"
         )
 
+    def test_pregenerated_graph_that_is_not_a_string_is_data_error(self, fixture, capsys):
+        rows = [json.loads(line) for line in open(fixture["dataset"])]
+        for row in rows:
+            if row["id"] in ("gph00", "gph01", "gph02", "gph03"):
+                row["pregenerated_graph"] = 5
+        Path(fixture["dataset"]).write_text("".join(json.dumps(row) + "\n" for row in rows))
+        line = 1 + [row["id"] for row in rows].index("gph00")
+        expected = f"data error: {fixture['dataset']}:{line} (id=gph00): pregenerated_graph is not a string: 5\n"
+        assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
+        assert capsys.readouterr().err == expected
+        assert cli.main(["verify", "--config", fixture["config"], "--claim-id", "gph00"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == expected
+
     @pytest.mark.parametrize("script,reason", [
         ("[{", "Expecting property name"),
         ('{"equals": "p", "response": "x"}', "a script must be a JSON list of entries"),

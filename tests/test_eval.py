@@ -7,7 +7,9 @@ macro = 11/15.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +20,16 @@ from graphfc.evaluate import (
     AbortThresholdError,
     ClaimRecord,
     DataError,
+    _Tally,
     load_dataset,
     macro_f1,
     recall_at_k,
     run_eval,
 )
-from graphfc.retrieval import Document, build_index, search
-from graphfc.verdict import DIRECT, GRAPHCHECK, Label
+from graphfc.retrieval import Document, EvidenceBundle, build_index, search
+from graphfc.verdict import DIRECT, GRAPHCHECK, Label, StrategyChoice, VerdictTrace
+
+from conftest import examples
 
 S, N = Label.SUPPORTED, Label.NOT_SUPPORTED
 
@@ -133,6 +138,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"d\.jsonl:2 \(id=bad\): claim text is not a non-empty string"):
             load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
 
+    @pytest.mark.parametrize("graph", [5, ["# Triples:"], {"g": "# Triples:"}, True])
+    def test_pregenerated_graph_that_is_not_a_string_names_the_row(self, tmp_path, graph):
+        rows = [
+            {"id": "ok", "text": "x", "label": "Supported", "pregenerated_graph": None},
+            {"id": "bad", "text": "y", "label": "Supported", "pregenerated_graph": graph},
+        ]
+        with pytest.raises(DataError, match=r"d\.jsonl:2 \(id=bad\): pregenerated_graph is not a string"):
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", rows), "generic")
+
     def test_hops_accepts_what_int_accepts(self, tmp_path):
         rows = [
             {"id": f"c{i}", "text": "x", "label": "Supported", "hops": value}
@@ -205,6 +219,108 @@ class TestRecallAtK:
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):
             recall_at_k(self.bundle(["a"]), [])
+
+
+def reference_group_metrics(rows):
+    """The list-based metrics that the report was built from before it became
+    a fold, kept as the fold's reference.  ``rows`` are (record, trace) pairs.
+
+    It summed the recalls with ``sum()``, which before Python 3.12 adds left
+    to right; ``functools.reduce`` keeps that order on every version.
+    """
+    def class_counts(preds, golds, cls):
+        tp = sum(1 for p, g in zip(preds, golds) if p is cls and g is cls)
+        fp = sum(1 for p, g in zip(preds, golds) if p is cls and g is not cls)
+        fn = sum(1 for p, g in zip(preds, golds) if p is not cls and g is cls)
+        tn = len(preds) - tp - fp - fn
+        return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+    def f1(counts):
+        tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        if precision + recall == 0:
+            return 0.0
+        return 2 * precision * recall / (precision + recall)
+
+    def strategy_group(value, total):
+        members = [(r, t) for r, t in rows if t.strategy.value == value]
+        n = len(members)
+        correct = sum(1 for r, t in members if t.final is r.label)
+        recalls = [
+            recall_at_k(t.direct_evidence, r.gold_doc_ids)
+            for r, t in members
+            if r.gold_doc_ids and t.direct_evidence is not None
+        ]
+        return {
+            "n": n,
+            "fraction": n / total if total else 0.0,
+            "accuracy": correct / n if n else None,
+            "recall_at_k": functools.reduce(operator.add, recalls, 0) / len(recalls) if recalls else None,
+        }
+
+    preds = [t.final for _, t in rows]
+    golds = [r.label for r, _ in rows]
+    n = len(rows)
+    return {
+        "n": n,
+        "accuracy": sum(1 for p, g in zip(preds, golds) if p is g) / n,
+        "macro_f1": sum(f1(class_counts(preds, golds, cls)) for cls in (S, N)) / 2.0,
+        "counts": {cls.value: class_counts(preds, golds, cls) for cls in (S, N)},
+        "strategy": {DIRECT: strategy_group(DIRECT, n), GRAPHCHECK: strategy_group(GRAPHCHECK, n)},
+    }
+
+
+_DOC_IDS = [f"d{i}" for i in range(7)]
+
+
+@st.composite
+def decided_claims(draw):
+    """A (record, trace) pair: label, prediction, route, hops (or none), gold
+    ids (or none) and the direct evidence's ids (or no direct evidence)."""
+    gold = draw(st.none() | st.lists(st.sampled_from(_DOC_IDS), max_size=7).map(tuple))
+    evidence = draw(st.none() | st.lists(st.sampled_from(_DOC_IDS), max_size=7, unique=True))
+    record = ClaimRecord("c", "claim", draw(st.sampled_from([S, N])),
+                         hops=draw(st.none() | st.integers(1, 4)), gold_doc_ids=gold)
+    trace = VerdictTrace(
+        "c", "claim", StrategyChoice(draw(st.sampled_from([DIRECT, GRAPHCHECK]))),
+        final=draw(st.sampled_from([S, N])),
+        direct_evidence=None if evidence is None else EvidenceBundle(
+            tuple((Document(i, i, i), 1.0) for i in evidence)),
+    )
+    return record, trace
+
+
+class TestTally:
+    """The fold over decided claims gives the list-based metrics, float for
+    float, overall and per hop group."""
+
+    @given(st.lists(decided_claims(), min_size=1, max_size=60))
+    @settings(max_examples=examples(100), deadline=None)
+    def test_fold_equals_the_list_based_metrics(self, rows):
+        overall, per_hop, groups = _Tally(), {}, {}
+        for record, trace in rows:
+            hop = str(record.hops) if record.hops is not None else "unknown"
+            overall.add(record, trace)
+            per_hop.setdefault(hop, _Tally()).add(record, trace)
+            groups.setdefault(hop, []).append((record, trace))
+        # json.dumps writes each float's repr, so equal text is equal bits.
+        assert json.dumps(overall.metrics()) == json.dumps(reference_group_metrics(rows))
+        assert list(per_hop) == list(groups)
+        for hop, tally in per_hop.items():
+            assert json.dumps(tally.metrics()) == json.dumps(reference_group_metrics(groups[hop]))
+
+    @given(st.lists(st.tuples(st.sampled_from([S, N]), st.sampled_from([S, N])), min_size=1, max_size=60))
+    @settings(max_examples=examples(100), deadline=None)
+    def test_fold_matches_macro_f1_and_accuracy_from_lists(self, pairs):
+        tally = _Tally()
+        for pred, gold in pairs:
+            tally.add(ClaimRecord("c", "claim", gold), VerdictTrace("c", "claim", StrategyChoice(DIRECT), pred))
+        preds, golds = [p for p, _ in pairs], [g for _, g in pairs]
+        metrics = tally.metrics()
+        assert metrics["macro_f1"] == macro_f1(preds, golds)
+        assert metrics["accuracy"] == sum(p is g for p, g in pairs) / len(pairs)
+        assert metrics["n"] == metrics["strategy"][DIRECT]["n"] == len(pairs)
 
 
 def eval_corpus():
