@@ -13,6 +13,7 @@ requests, and their tokens, that reach a backend.
 from __future__ import annotations
 
 import base64
+import collections
 import hashlib
 import http.client
 import json
@@ -98,16 +99,21 @@ class CostLedger:
 
     ``prices`` maps a model identifier to ``(input_usd_per_1k_tokens,
     output_usd_per_1k_tokens)``.  Cache hits count as requests but contribute
-    neither tokens nor cost.
+    neither tokens nor cost to the totals, which are what the run paid;
+    ``answered_cost`` prices cache hits too.
     """
 
     def __init__(self, prices: Optional[Dict[str, tuple]] = None):
         self.prices = dict(prices or {})
         self._lock = threading.Lock()
         self._per_purpose: Dict[str, PurposeTotals] = {}
+        # (purpose, model, 0 for input or 1 for output) -> tokens of every answer
+        self._answered: collections.Counter = collections.Counter()
 
     def record(self, purpose: str, model: str, response: GenResponse) -> None:
         with self._lock:
+            self._answered[purpose, model, 0] += response.input_tokens
+            self._answered[purpose, model, 1] += response.output_tokens
             totals = self._per_purpose.setdefault(purpose, PurposeTotals())
             totals.requests += 1
             if response.from_cache:
@@ -130,6 +136,18 @@ class CostLedger:
         return PurposeTotals(
             *(sum(getattr(row, f.name) for row in rows) for f in fields(PurposeTotals))
         )
+
+    def answered_cost(self) -> Dict[str, float]:
+        """Per purpose recorded, the USD cost of every answer, a cache hit at
+        its stored token counts: what the answers cost without a cache.  It
+        is priced from whole token counts in a fixed order, so the same
+        answers cost the same, in any order, cold or warm."""
+        with self._lock:
+            answered = sorted(self._answered.items())
+        cost: Dict[str, float] = {}
+        for (purpose, model, side), tokens in answered:
+            cost[purpose] = cost.get(purpose, 0.0) + tokens / 1000.0 * self.prices.get(model, (0.0, 0.0))[side]
+        return cost
 
 
 def approx_token_count(text: str) -> int:
@@ -547,7 +565,7 @@ class CachedBackend:
 
     Requests at temperature 0 are answered from the store when possible;
     requests with a temperature above 0 bypass the cache entirely.  Hits are
-    recorded in the ledger as requests with zero priced tokens.
+    recorded in the ledger as requests the run did not pay for.
     """
 
     def __init__(self, inner, store: ResponseCache, ledger: Optional[CostLedger] = None):

@@ -175,7 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     misses = sum(cache.misses for cache in caches.values())
     print(
         f"backend requests: {totals.requests}  cache: hits={hits} misses={misses}  "
-        f"cost: ${totals.cost:.4f}"
+        f"paid: ${totals.cost:.4f}"
     )
     print(f"report written to {config.report_path}; traces to {config.traces_path}")
     return EXIT_OK

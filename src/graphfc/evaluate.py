@@ -340,12 +340,9 @@ def run_eval(
 
     wall = time.monotonic() - started
     done = len(traces)
-    totals = ledger.totals() if ledger is not None else None
-    per_purpose = (
-        {p: t.cost / done * 1000.0 for p, t in ledger.per_purpose().items()}
-        if ledger is not None and done
-        else {}
-    )
+    per_1k = 1000.0 / done  # a run that decides no claim raises above
+    answered = ledger.answered_cost() if ledger is not None else {}
+    paid = ledger.totals().cost if ledger is not None else 0.0
     report = EvalReport(
         config={
             "mode": opts.mode,
@@ -361,12 +358,13 @@ def run_eval(
         per_hop={hop: tally.metrics() for hop, tally in per_hop.items()},
         errors=errored,
         cost={
-            "total_usd_per_1k": (totals.cost / done * 1000.0) if totals and done else 0.0,
-            "per_purpose_usd_per_1k": per_purpose,
+            "total_usd_per_1k": sum(answered.values()) * per_1k,
+            "per_purpose_usd_per_1k": {purpose: cost * per_1k for purpose, cost in answered.items()},
         },
         timing={
             "wall_seconds": wall,
-            "runtime_minutes_per_1k": (wall / 60.0) / done * 1000.0 if done else 0.0,
+            "runtime_minutes_per_1k": wall / 60.0 * per_1k,
+            "paid_usd_per_1k": paid * per_1k,
         },
         partial=partial,
     )

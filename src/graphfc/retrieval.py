@@ -4,25 +4,25 @@ The index is built in one pass and immutable afterwards, apart from caches
 that are safe to fill concurrently, so concurrent searches are safe.  Scoring
 is classic Okapi BM25 with the +1-smoothed natural-log IDF.  Every posting's
 query-independent BM25 weight is computed once, when the index is built, and
-stored in the index file (format v7), so loading an index computes nothing
-per posting.  Each term's postings are stored in impact order, largest weight
-first (Anh & Moffat, 2006), so the unwalked rest of a list is bounded by its
-next weight, and equal weights sit next to each other: each run of them is
-stored as its length and the position of its weight in one table of every
-distinct weight.  Search is exact top-k by the threshold algorithm (Fagin,
-Lotem & Naor, 2003): it walks the lists a chunk at a time, scores every
-document it reaches exactly, and stops once the k-th best score beats
-everything the unwalked postings could add, so the tails of long lists (the
-stopwords') are not walked.  Scoring a document reads its weight in every
-query term, so each term's weights are held for lookup by ordinal, built on
-the term's first use: a common term's as one slot per document, a rarer
-term's as a dict of the documents that hold it.  A loaded index leaves the
-documents' compressed streams in its file and reads each on first use.
+stored in the index file (``save_index`` gives its layout), so loading an
+index computes nothing per posting.  Each term's postings are stored in
+impact order, largest weight first (Anh & Moffat, 2006), so the unwalked rest
+of a list is bounded by its next weight.  Search is exact top-k by the
+threshold algorithm (Fagin, Lotem & Naor, 2003): it walks the lists a chunk
+at a time, scores every document it reaches exactly, and stops once the k-th
+best score beats everything the unwalked postings could add, so the tails of
+long lists (the stopwords') are not walked.  Scoring a document reads its
+weight in every query term, so each term's weights are held for lookup by
+ordinal, built on the term's first use: a common term's as one slot per
+document, a rarer term's as a dict of the documents that hold it.  A loaded
+index leaves the documents' compressed streams in its file and reads each on
+first use.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import itertools
 import json
@@ -59,7 +59,7 @@ _FIRST_CHUNK = 8
 _ROW_SHARE = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 7
+INDEX_VERSION = 8
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
 # How the document streams are compressed.  Deflate's fixed Huffman codes
@@ -199,18 +199,16 @@ def _deflate_dictionary(documents: Sequence[Document]) -> bytes:
 class DocumentTable(Sequence):
     """The indexed documents in ordinal order.
 
-    ``ids`` holds every doc_id.  Each document's title and text are stored
-    as one raw-deflate stream primed with ``dictionary``: inflated, the
-    title's UTF-8 byte length as a little-endian uint32, then the title's
-    and the text's UTF-8 bytes.  ``ends[i]`` is where document i's stream
-    ends among the streams (it starts where document i - 1's ends), and
-    ``crcs[i]`` is the CRC-32 of its inflated bytes.  ``read(start, end)``
+    ``ids`` holds every doc_id, and ``dictionary``, ``ends`` and ``crcs``
+    the streams' deflate dictionary, ends and CRC-32s as ``save_index``
+    lays them out: document i's stream ends at ``ends[i]`` among the
+    streams and starts where document i - 1's ends.  ``read(start, end)``
     returns the streams' bytes from ``start`` to ``end``: a table made by
     ``of`` slices them in memory, and a loaded one (``in_file``) reads them
     from its index file, where they stay.  A document is read, inflated,
     checked and built the first time it is read, then kept (see ``Index`` on
     why that is safe from any thread).  ``source`` names the file in the
-    errors raised for a corrupt document or posting.
+    errors raised for a corrupt document.
     """
 
     def __init__(self, ids: List[str], dictionary: bytes, ends: array, crcs: array,
@@ -296,24 +294,17 @@ class Index:
     """Inverted index with BM25 search, one representation whether built or
     loaded.
 
-    ``terms`` numbers every term, and term i's postings are the slice
-    ``bounds[i]:bounds[i + 1]`` of the flat array ``ordinals``: the
-    documents holding the term, in impact order (descending
-    query-independent BM25 weight, ties by ascending ordinal); the slice's
-    length is the term's document frequency.  The weights are stored as runs
-    of equal weight: ``weight_table`` (float64) holds every distinct weight
-    once, largest first; run j covers ``run_lengths[j]`` postings and holds
-    the weight ``weight_table[run_codes[j]]``; term i's runs are
-    ``run_starts[i]:run_starts[i + 1]`` (uint32), and cover its postings in
-    order.  Runs never cross a term's end, and within a term each run's
-    weight is below the one before, so a term's first run holds its largest
-    weight.  ``ordinals``, ``run_codes`` and ``run_lengths`` are each held at
-    the narrowest of 1, 2 or 4 bytes that holds their largest value
-    (``_width``).  build_index computes the weights with the operations of
-    ``bm25_term_score`` in the same order, so a search only adds them up and
-    its scores are bit-identical to summing ``bm25_term_score`` per posting.
-    The weights are stored in the index file, so they are fixed at build
-    time.
+    ``terms`` numbers every term, and the arrays hold the postings as
+    ``save_index`` lays them out, with a 0 before the term ends (``bounds``)
+    and before the run ends (``run_starts``): term i's postings are
+    ``ordinals[bounds[i]:bounds[i + 1]]``, in impact order, and its weight
+    runs are ``run_starts[i]:run_starts[i + 1]``, run j covering
+    ``run_lengths[j]`` postings that hold ``weight_table[run_codes[j]]``.
+    build_index computes the weights with the operations of
+    ``bm25_term_score`` in the same order, at ``DEFAULT_K1`` and
+    ``DEFAULT_B``, so a search only adds them up and its scores are
+    bit-identical to summing ``bm25_term_score`` per posting.  The weights
+    are stored in the index file, so they are fixed at build time.
 
     The index is immutable after construction apart from three caches: the
     weights ``postings`` lays out for lookup by ordinal the first time a term
@@ -325,7 +316,7 @@ class Index:
     """
 
     def __init__(self, documents: DocumentTable, terms, bounds, ordinals, weight_table, run_starts,
-                 run_codes, run_lengths, k1, b, avg_doc_length):
+                 run_codes, run_lengths, avg_doc_length):
         self.documents = documents
         if not documents:
             raise CorpusError("index has no documents")
@@ -336,8 +327,6 @@ class Index:
         self.run_starts: array = run_starts  # uint32: each term's first run, then the run count
         self.run_codes: array = run_codes
         self.run_lengths: array = run_lengths
-        self.k1 = k1
-        self.b = b
         self.doc_count = len(self.documents)
         self.avg_doc_length = avg_doc_length
         self._by_id: Optional[dict] = None  # doc_id -> ordinal
@@ -351,12 +340,7 @@ class Index:
         the documents holding it, in impact order.  Either way the postings
         of one run share its weight's float object, and every weight is
         above 0.0, so looking a document up in the row, or in the dict with
-        0.0 as the default, gives the same float.  Raises
-        CorpusError naming the file, on the term's first use rather than at
-        load, if the term's runs do not partition its postings, if its
-        weights do not strictly fall from run to run and stay above 0.0 or a
-        code lies past the weight table, or if it names a document twice or
-        names no document (a corrupt file)."""
+        0.0 as the default, gives the same float."""
         entry = self._postings.get(term)
         if entry is None:
             number = self.terms.get(term)
@@ -364,41 +348,16 @@ class Index:
                 return None
             start, end = self.bounds[number], self.bounds[number + 1]
             first, last = self.run_starts[number], self.run_starts[number + 1]
-            codes, lengths = self.run_codes[first:last], self.run_lengths[first:last]
-            if not codes or sum(lengths) != end - start or not all(lengths):
-                raise self._corrupt(term, "has weight runs that do not partition its postings")
-            table = self.weight_table
-            try:
-                weights = [table[code] for code in codes]
-            except IndexError:  # a code past the table
-                weights = []
-            # Strictly falling and above 0.0, which a NaN also fails.
-            if len(weights) != len(codes) or not all(map(operator.gt, weights, [*weights[1:], 0.0])):
-                raise self._corrupt(term, "has weight runs out of impact order")
-            ordinals = self.ordinals[start:end]
-            weighted = itertools.chain.from_iterable(map(itertools.repeat, weights, lengths))
+            weights = map(self.weight_table.__getitem__, self.run_codes[first:last])
+            weighted = itertools.chain.from_iterable(map(itertools.repeat, weights, self.run_lengths[first:last]))
             if _ROW_SHARE * (end - start) > self.doc_count:
                 entry = [0.0] * self.doc_count
-                try:  # the deque only drives the map, which fills the row
-                    collections.deque(map(entry.__setitem__, ordinals, weighted), maxlen=0)
-                except IndexError:  # an ordinal past the row
-                    raise self._past_the_end(term, ordinals) from None
-                held = self.doc_count - entry.count(0.0)  # every stored weight is > 0
+                # The deque only drives the map, which fills the row.
+                collections.deque(map(entry.__setitem__, self.ordinals[start:end], weighted), maxlen=0)
             else:
-                entry = dict(zip(ordinals, weighted))
-                if max(entry) >= self.doc_count:  # the keys, already boxed, are quicker to scan
-                    raise self._past_the_end(term, ordinals)
-                held = len(entry)
-            if held != end - start:
-                raise self._corrupt(term, "names a document twice")
+                entry = dict(zip(self.ordinals[start:end], weighted))
             self._postings[term] = entry
         return entry
-
-    def _past_the_end(self, term: str, ordinals: array) -> CorpusError:
-        return self._corrupt(term, f"names document {max(ordinals)}, past the last of {self.doc_count}")
-
-    def _corrupt(self, term: str, problem: str) -> CorpusError:
-        return CorpusError(f"corrupt index: term {term!r} {problem}, in {self.documents.source}")
 
     def get_document(self, doc_id: str) -> Optional[Document]:
         if self._by_id is None:  # only gold evidence looks documents up by id
@@ -407,17 +366,12 @@ class Index:
         return None if ordinal is None else self.documents[ordinal]
 
 
-def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
+def build_index(corpus: Iterable[Document]) -> Index:
     """Index ``title + " " + text`` of every document.
 
     Raises CorpusError on an empty corpus, one in which no document holds a
-    token, or a duplicate doc_id, and ValueError for out-of-range BM25
-    parameters.
+    token, or a duplicate doc_id.
     """
-    if k1 <= 0:
-        raise ValueError(f"k1 must be > 0, got {k1}")
-    if not 0 <= b <= 1:
-        raise ValueError(f"b must be in [0, 1], got {b}")
     documents: List[Document] = []
     postings: dict = {}
     doc_lengths: List[int] = []
@@ -443,6 +397,7 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
     if not postings:
         raise CorpusError("no document holds a token")
     avg_doc_length = sum(doc_lengths) / len(documents)
+    k1, b = DEFAULT_K1, DEFAULT_B
     norms = [k1 * (1.0 - b + b * n / avg_doc_length) for n in doc_lengths]
     scale = k1 + 1.0
     bounds, run_starts = array("I", [0]), array("I", [0])
@@ -472,7 +427,7 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1, b: float = D
     return Index(
         DocumentTable.of(documents), terms, bounds, ordinals, weight_table, run_starts,
         array(_TYPECODES[_width(len(weight_table) - 1)], map(code_of.__getitem__, run_weights)),
-        array(_TYPECODES[_width(max(run_lengths))], run_lengths), k1, b, avg_doc_length,
+        array(_TYPECODES[_width(max(run_lengths))], run_lengths), avg_doc_length,
     )
 
 
@@ -615,16 +570,17 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v7, one file holding, in this order:
+    """Write the index in format v8, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 7, ``k1``, ``b``, ``doc_count``,
+    - one line of JSON header: ``version`` 8, ``doc_count``,
       ``avg_doc_length``, ``weight_count`` (the number of distinct weights),
       ``run_count`` (the number of weight runs), ``widths`` (the bytes per
       item, 1, 2 or 4, of the ``ordinals``, the run ``codes`` and the run
-      ``lengths``), and the byte lengths of the sections whose length
-      nothing else gives: ``terms_bytes``, ``ids_bytes`` and
-      ``dictionary_bytes``;
+      ``lengths``), the byte lengths of the sections whose length nothing
+      else gives: ``terms_bytes``, ``ids_bytes`` and ``dictionary_bytes``,
+      and ``postings_crc``, the CRC-32 of the next seven sections' bytes,
+      from the terms to the run lengths, as the file holds them;
     - the terms' UTF-8 bytes, joined by ``\\n`` (no term holds whitespace);
     - each term's posting end as one little-endian uint32 array: its
       postings are those from the previous term's end to its own;
@@ -644,8 +600,10 @@ def save_index(index: Index, path: str) -> None:
     - the deflate dictionary the document streams are primed with;
     - each document stream's end, then each document's CRC-32, as two
       little-endian uint32 arrays of ``doc_count`` items;
-    - the document streams, one after another (see DocumentTable); a loaded
-      index's are read from the file it was loaded from.
+    - the document streams, one after another: each document's is one
+      raw-deflate stream primed with the dictionary, whose inflated bytes,
+      the ones its CRC-32 covers, are the title's UTF-8 byte length as a
+      little-endian uint32, then the title's and the text's UTF-8 bytes.
 
     Each width is the narrowest of 1, 2 or 4 bytes that holds the largest
     value of its array: ``doc_count - 1`` for the ordinals.  Term frequencies
@@ -658,12 +616,13 @@ def save_index(index: Index, path: str) -> None:
     old file as it was.
     """
     documents = index.documents
-    terms = "\n".join(index.terms).encode("utf-8")
+    postings = ["\n".join(index.terms).encode("utf-8"), *map(_little_endian, (
+        index.bounds[1:], index.ordinals, index.weight_table, index.run_starts[1:], index.run_codes,
+        index.run_lengths,
+    ))]
     ids = zlib.compress(json.dumps(documents.ids).encode("ascii"))
     header = {
         "version": INDEX_VERSION,
-        "k1": index.k1,
-        "b": index.b,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
         "weight_count": len(index.weight_table),
@@ -673,9 +632,10 @@ def save_index(index: Index, path: str) -> None:
             "codes": index.run_codes.itemsize,
             "lengths": index.run_lengths.itemsize,
         },
-        "terms_bytes": len(terms),
+        "terms_bytes": len(postings[0]),
         "ids_bytes": len(ids),
         "dictionary_bytes": len(documents.dictionary),
+        "postings_crc": functools.reduce(lambda crc, section: zlib.crc32(section, crc), postings, 0),
     }
     partial = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     handle = open(partial, "xb")
@@ -683,13 +643,8 @@ def save_index(index: Index, path: str) -> None:
         with handle:
             handle.write(_MAGIC_LINE)
             handle.write(json.dumps(header).encode("ascii") + b"\n")
-            handle.write(terms)
-            _little_endian(index.bounds[1:]).tofile(handle)
-            _little_endian(index.ordinals).tofile(handle)
-            _little_endian(index.weight_table).tofile(handle)
-            _little_endian(index.run_starts[1:]).tofile(handle)
-            _little_endian(index.run_codes).tofile(handle)
-            _little_endian(index.run_lengths).tofile(handle)
+            for section in postings:
+                handle.write(section)
             handle.write(ids)
             handle.write(documents.dictionary)
             _little_endian(documents.ends).tofile(handle)
@@ -731,13 +686,13 @@ def _read_header(path: str, line: bytes) -> dict:
         raise CorpusError(f"{path}: corrupt index header")
     if header.get("version") != INDEX_VERSION:
         raise _rebuild_error(path, header.get("version"))
-    sizes = [header.get(key) for key in (
-        "doc_count", "weight_count", "run_count", "terms_bytes", "ids_bytes", "dictionary_bytes",
+    integers = [header.get(key) for key in (
+        "doc_count", "weight_count", "run_count", "terms_bytes", "ids_bytes", "dictionary_bytes", "postings_crc",
     )]
     widths = header.get("widths")
     if not (
-        set(map(type, sizes)) <= {int} and min(sizes) >= 0
-        and {type(header.get(key)) for key in ("k1", "b", "avg_doc_length")} <= {int, float}
+        set(map(type, integers)) <= {int} and min(integers) >= 0
+        and type(header.get("avg_doc_length")) in (int, float)
         and isinstance(widths, dict) and sorted(widths) == ["codes", "lengths", "ordinals"]
         and all(type(width) is int and width in _TYPECODES for width in widths.values())
     ):
@@ -746,20 +701,19 @@ def _read_header(path: str, line: bytes) -> dict:
 
 
 def load_index(path: str) -> Index:
-    """Read an index in format v7, as written by save_index.
+    """Read an index in format v8, as written by save_index.
 
     Raises CorpusError naming ``path`` for a file that is not a graphfc
     index, for another format version (older files, JSON ones included, must
-    be rebuilt), for a file that is truncated, longer than its header says or
-    otherwise corrupt, and for an index with no documents.  The document
-    streams are left in the file: the index keeps the file open and reads
-    each document's stream when that document is first read
+    be rebuilt), for a file that is truncated, longer than its header says,
+    whose header or doc_id list is corrupt or whose postings do not match
+    their CRC-32, and for an index with no documents.  The document streams
+    are left in the file: the index keeps the file open and reads each
+    document's stream when that document is first read
     (``DocumentTable.in_file``).  So the file must not be rewritten in place
     while the index is in use; save_index replaces it by a rename, which is
     safe.  A corrupt or unreadable document stream raises CorpusError when
-    that document is first read, and a term whose weight runs do not
-    partition its postings or are out of impact order, or whose postings
-    name a document twice or name no document, when the term is first used.
+    that document is first read.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
@@ -781,24 +735,27 @@ def load_index(path: str) -> Index:
             check_left(count * zero.itemsize)
             values = zero * count
             handle.readinto(values)  # in place: fromfile reads a copy first, 5x slower here
+            return values
+
+        terms = read(header["terms_bytes"])
+        crc = zlib.crc32(terms)
+
+        def read_postings(typecode: str, count: int) -> array:
+            nonlocal crc
+            values = read_array(typecode, count)
+            crc = zlib.crc32(values, crc)  # the file's bytes, before any byte swap
             return _little_endian(values)
 
-        try:
-            terms_blob = read(header["terms_bytes"]).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorpusError(f"{path}: corrupt term list") from None
-        terms = terms_blob.split("\n") if terms_blob else []
-        bounds = array("I", [0]) + read_array("I", len(terms))
-        if not all(map(operator.lt, bounds, itertools.islice(bounds, 1, None))):
-            raise CorpusError(f"{path}: corrupt term list")  # a term without postings
+        term_count = terms.count(b"\n") + 1 if terms else 0
         widths = header["widths"]
-        ordinals = read_array(_TYPECODES[widths["ordinals"]], bounds[-1])
-        weight_table = read_array("d", header["weight_count"])
-        run_starts = array("I", [0]) + read_array("I", len(terms))
-        if run_starts[-1] != header["run_count"]:
-            raise CorpusError(f"{path}: corrupt weight runs")  # the last term's runs must end the runs
-        run_codes = read_array(_TYPECODES[widths["codes"]], header["run_count"])
-        run_lengths = read_array(_TYPECODES[widths["lengths"]], header["run_count"])
+        bounds = array("I", [0]) + read_postings("I", term_count)
+        ordinals = read_postings(_TYPECODES[widths["ordinals"]], bounds[-1])
+        weight_table = read_postings("d", header["weight_count"])
+        run_starts = array("I", [0]) + read_postings("I", term_count)
+        run_codes = read_postings(_TYPECODES[widths["codes"]], header["run_count"])
+        run_lengths = read_postings(_TYPECODES[widths["lengths"]], header["run_count"])
+        if crc != header["postings_crc"]:
+            raise CorpusError(f"{path}: corrupt postings (their CRC-32 does not match)")
         ids_blob = read(header["ids_bytes"])
         try:
             ids = json.loads(zlib.decompress(ids_blob))
@@ -807,17 +764,15 @@ def load_index(path: str) -> Index:
         if not (isinstance(ids, list) and len(ids) == header["doc_count"] and set(map(type, ids)) <= {str}):
             raise CorpusError(f"{path}: corrupt doc_id list")
         dictionary = read(header["dictionary_bytes"])
-        document_ends = read_array("I", len(ids))
-        crcs = read_array("I", len(ids))
+        document_ends = _little_endian(read_array("I", len(ids)))
+        crcs = _little_endian(read_array("I", len(ids)))
         streams_bytes = document_ends[-1] if ids else 0
         check_left(streams_bytes)
         if streams_bytes < file_bytes - handle.tell():
             raise CorpusError(f"{path}: index file is longer than its header says")
-        numbers = dict(zip(terms, itertools.count()))
-        if len(numbers) != len(terms):
-            raise CorpusError(f"{path}: corrupt term list")  # a term listed twice
         documents = DocumentTable.in_file(handle, path, ids, dictionary, document_ends, crcs)
+    numbers = dict(zip(terms.decode("utf-8").split("\n") if terms else (), itertools.count()))
     return Index(
         documents, numbers, bounds, ordinals, weight_table, run_starts, run_codes, run_lengths,
-        header["k1"], header["b"], header["avg_doc_length"],
+        header["avg_doc_length"],
     )

@@ -137,12 +137,12 @@ class TestIndexCommand:
         set_ordinal_top_bytes(Path(fixture["index"]))
         code = cli.main(["verify", "--config", fixture["config"], "--claim-id", "dir00"])
         assert code == cli.EXIT_DATA == 2
-        assert capsys.readouterr().err.startswith("data error: corrupt index: term ")
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt postings ")
 
     def test_corrupt_ordinals_fail_eval_as_data_error(self, fixture, capsys):
         set_ordinal_top_bytes(Path(fixture["index"]))
         assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
-        assert capsys.readouterr().err.startswith("data error: corrupt index: term ")
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt postings ")
 
     def test_corrupt_documents_fail_eval_and_verify_as_data_error(self, fixture, capsys):
         set_document_crcs(Path(fixture["index"]))
@@ -290,6 +290,25 @@ class TestEvalCommand:
         assert by_id["gph00"]["strategy"]["value"] == "GraphCheck"
         assert by_id["dir00"]["strategy"]["value"] == "Direct"
         assert "report written" in out
+
+    def test_priced_report_is_the_same_cold_and_warm(self, fixture, tmp_path, capsys):
+        # Criterion 9's fixture with its model priced: the warm run is served
+        # wholly from the response cache, so it pays nothing, but its cost
+        # still prices every answer.
+        config = json.load(open(fixture["config"]))
+        config["prices"] = {"scripted": [1, 2]}
+        Path(fixture["config"]).write_text(json.dumps(config))
+        reports = []
+        for run in ("cold", "warm"):
+            path = tmp_path / f"{run}.json"
+            assert cli.main(["eval", "--config", fixture["config"], "--report", str(path)]) == 0
+            reports.append(json.loads(path.read_text()))
+        cold, warm = (report.pop("timing") for report in reports)
+        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+        cost = reports[0]["cost"]
+        assert cost["total_usd_per_1k"] > 0
+        assert 0 < cold["paid_usd_per_1k"] <= cost["total_usd_per_1k"] * (1 + 1e-9)
+        assert warm["paid_usd_per_1k"] == 0.0
 
     def test_direct_only_breakdown(self, fixture, capsys):
         code = cli.main(["eval", "--config", fixture["config"], "--pipeline", "direct"])

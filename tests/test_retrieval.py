@@ -119,12 +119,6 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="no document holds a token"):
             build_index([Document("a", "", "!!"), Document("b", "", "")])
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            build_index(TINY, k1=0)
-        with pytest.raises(ValueError):
-            build_index(TINY, b=1.5)
-
     def test_title_is_indexed(self):
         # Hand count: "shakespeare" appears once in the Queen Mab sentence.
         # The documents hold 10 and 9 tokens, titles included: 9.5 on average.
@@ -297,7 +291,7 @@ def brute_force_search(index, query, k):
         for ordinal in ordinals:
             contribution = bm25_term_score(
                 tfs[ordinal][term], len(ordinals), len(tfs), lengths[ordinal],
-                avg_doc_length, index.k1, index.b,
+                avg_doc_length, retrieval.DEFAULT_K1, retrieval.DEFAULT_B,
             )
             scores[ordinal] = scores.get(ordinal, 0.0) + contribution
     ranked = sorted(scores.items(), key=lambda item: (-item[1], index.documents[item[0]].doc_id))
@@ -581,9 +575,9 @@ class TestPersistence:
         path = tmp_path / "empty.json"
         ids = zlib.compress(b"[]")
         header = {
-            "version": retrieval.INDEX_VERSION, "k1": 1.2, "b": 0.75, "doc_count": 0, "avg_doc_length": 0.0,
+            "version": retrieval.INDEX_VERSION, "doc_count": 0, "avg_doc_length": 0.0,
             "weight_count": 0, "run_count": 0, "widths": {"ordinals": 1, "codes": 1, "lengths": 1},
-            "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0,
+            "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0, "postings_crc": 0,
         }
         path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + ids)
         with pytest.raises(CorpusError, match="index has no documents"):
@@ -621,6 +615,15 @@ class TestPersistence:
         newer = retrieval.INDEX_VERSION + 1
         rewrite_header(path, version=newer)
         with pytest.raises(CorpusError, match=f"version {newer} .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    def test_version_7_file_is_rejected(self, tmp_path, tiny_index):
+        # v7 had the same layout with BM25's k1 and b in the header and no
+        # CRC-32 over the postings.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=7)
+        with pytest.raises(CorpusError, match="version 7 .*re-run `graphfc index`"):
             load_index(str(path))
 
     def test_version_6_file_is_rejected(self, tmp_path, tiny_index):
@@ -836,7 +839,7 @@ class TestPersistence:
             corrupt = bytearray(data)
             corrupt[position:position + len(replacement)] = replacement
             path.write_bytes(bytes(corrupt))
-            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt term list"):
+            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt postings"):
                 load_index(str(path))
 
     @pytest.mark.parametrize("section", ["streams", "crcs"])
@@ -867,30 +870,27 @@ class TestPersistence:
             others = [o for o in range(len(TINY)) if o != ordinal]
             assert [index.documents[o] for o in others] == [TINY[o] for o in others]
 
-    def test_out_of_range_ordinal_is_rejected_on_first_use(self, tmp_path, tiny_index):
+    def test_out_of_range_ordinal_is_rejected_at_load(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         set_ordinal_top_bytes(path)
-        loaded = load_index(str(path))  # ordinals are checked per term, on first use
-        with pytest.raises(CorpusError, match="corrupt index: term 'x' names document"):
-            search(loaded, "x", k=3)
-        with pytest.raises(CorpusError, match="corrupt index: term 'x'"):
-            loaded.postings("x")  # a failed first use caches nothing
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
+            load_index(str(path))
 
     # "x" is in 2 of TINY's 3 documents, so its weights are held as a row,
     # and in 2 of the 16 documents here, so as a dict.
     @pytest.mark.parametrize("docs", [TINY, TINY + [Document(f"p{i:02d}", "", "pad") for i in range(13)]],
                              ids=["row", "dict"])
-    @pytest.mark.parametrize("section,values,problem", [
-        ("run_lengths", [0, 2], "has weight runs that do not partition its postings"),  # a run of no postings
-        ("run_lengths", [1, 2], "has weight runs that do not partition its postings"),  # 3 postings, not 2
-        ("run_starts", [0, 5], "has weight runs that do not partition its postings"),  # x's runs end before they start
-        ("ordinals", [0, 0], "names a document twice"),
-        ("run_codes", [5, 3], "has weight runs out of impact order"),  # the weights rise
-        ("run_codes", [3, "weight_count"], "has weight runs out of impact order"),  # a code past the table
-        ("ordinals", [1, "doc_count"], "names document {doc_count}, past the last of {doc_count}"),
+    @pytest.mark.parametrize("section,values", [
+        ("run_lengths", [0, 2]),  # a run of no postings
+        ("run_lengths", [1, 2]),  # 3 postings, not 2
+        ("run_starts", [0, 5]),  # x's runs end before they start
+        ("ordinals", [0, 0]),  # a document named twice
+        ("run_codes", [5, 3]),  # the weights rise
+        ("run_codes", [3, "weight_count"]),  # a code past the table
+        ("ordinals", [1, "doc_count"]),  # a document past the last
     ])
-    def test_corrupt_term_is_rejected_on_first_use(self, tmp_path, docs, section, values, problem):
+    def test_corrupt_term_is_rejected_at_load(self, tmp_path, docs, section, values):
         # "x", the second term, holds postings 1 and 2, each its own weight
         # run (runs 1 and 2, codes 3 and 5 of the 6 distinct weights, or 1
         # and 5 of 7 with the padding); the first three terms' runs end at
@@ -904,7 +904,6 @@ class TestPersistence:
         assert type(index.postings("x")) is (list if row else dict)
         counts = {"doc_count": index.doc_count, "weight_count": len(index.weight_table)}
         values = [counts.get(value, value) for value in values]
-        problem = problem.format(**counts)
         path = tmp_path / "index"
         save_index(index, str(path))
         data = bytearray(path.read_bytes())
@@ -913,16 +912,13 @@ class TestPersistence:
         start = sections[section][0] + width  # the second item of the section
         data[start:start + 2 * width] = b"".join(value.to_bytes(width, "little") for value in values)
         path.write_bytes(bytes(data))
-        loaded = load_index(str(path))  # runs and ordinals are checked per term, on first use
-        for _ in range(2):  # a failed first use caches nothing
-            with pytest.raises(CorpusError, match=f"corrupt index: term 'x' {problem}, in {re.escape(str(path))}$"):
-                search(loaded, "x y", k=3)
-        assert search(loaded, "q", k=3) == search(index, "q", k=3)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
+            load_index(str(path))
 
     @pytest.mark.parametrize("docs", [TINY, TINY + [Document(f"p{i:02d}", "", "pad") for i in range(13)]],
                              ids=["row", "dict"])
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
-    def test_weight_not_above_zero_is_rejected_on_first_use(self, tmp_path, docs, weight):
+    def test_weight_not_above_zero_is_rejected_at_load(self, tmp_path, docs, weight):
         # x's second and smaller weight is entry 5 of the weight table; it
         # becomes a weight no stored posting can hold.
         index = build_index(docs)
@@ -933,11 +929,8 @@ class TestPersistence:
         start = index_sections(bytes(data))[1]["weight_table"][0] + 8 * 5
         data[start:start + 8] = struct.pack("<d", weight)
         path.write_bytes(bytes(data))
-        loaded = load_index(str(path))
-        for _ in range(2):  # a failed first use caches nothing
-            with pytest.raises(CorpusError, match=f"corrupt index: term 'x' has weight runs out of impact order, "
-                                                  f"in {re.escape(str(path))}$"):
-                search(loaded, "x", k=3)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
+            load_index(str(path))
 
     def test_last_run_must_end_the_postings(self, tmp_path, tiny_index):
         path = tmp_path / "index"
@@ -946,8 +939,28 @@ class TestPersistence:
         end = index_sections(bytes(data))[1]["run_starts"][1]
         data[end - 4:end] = (len(tiny_index.run_codes) - 1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt weight runs"):
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt postings"):
             load_index(str(path))
+
+    def test_any_flipped_byte_in_the_postings_is_rejected_at_load(self, tmp_path, tiny_index):
+        # The seven sections from the terms to the run lengths lie one after
+        # another, and the header's CRC-32 covers them all.  A flip that
+        # changes a count (a term end, or a newline among the terms) may
+        # instead ask for more bytes than the file holds.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        data = path.read_bytes()
+        _, sections = index_sections(data)
+        start, end = sections["terms"][0], sections["run_lengths"][1]
+        assert end - start > 100
+        for position in range(start, end):
+            for mask in (0x01, 0x80, 0xFF):
+                corrupt = bytearray(data)
+                corrupt[position] ^= mask
+                path.write_bytes(bytes(corrupt))
+                with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: "
+                                                      f"(corrupt postings|index file is truncated)"):
+                    load_index(str(path))
 
 
 def rewrite_header(path, **changes):
