@@ -14,13 +14,16 @@ best score beats everything the unwalked postings could add, so the tails of
 long lists (the stopwords') are not walked.  Scoring a document reads its
 weight in every query term, so each term's weights are held for lookup by
 ordinal, built on the term's first use: a common term's as one slot per
-document, a rarer term's as a dict of the documents that hold it.  A loaded
-index leaves the documents' compressed streams in its file and reads each on
-first use.
+document, a rarer term's as a dict of the documents that hold it.  The
+terms and the doc_ids are held as string tables, one ``bytes`` each, so an
+index holds no Python object per term or document until one is used.  A
+loaded index leaves the documents' compressed streams in its file and reads
+each on first use.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import heapq
@@ -59,7 +62,7 @@ _FIRST_CHUNK = 8
 _ROW_SHARE = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 8
+INDEX_VERSION = 9
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
 # How the document streams are compressed.  Deflate's fixed Huffman codes
@@ -154,6 +157,9 @@ def bm25_term_score(
 # The array typecode of each width, in bytes, that an index file stores
 # integers at.
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
+# ``StringTable.find`` bisects a list of every _SAMPLED-th string's bytes in
+# C, then the one block of strings that can hold the key.
+_SAMPLED = 64
 
 
 def _width(largest: int) -> int:
@@ -196,13 +202,77 @@ def _deflate_dictionary(documents: Sequence[Document]) -> bytes:
     return b"".join(reversed(words))
 
 
+class StringTable(Sequence):
+    """Strings held as one ``bytes``, ``blob``, of their UTF-8 encodings one
+    after another, and an array of where each starts, so that the table
+    holds no Python object per string: string i is
+    ``blob[starts[i]:starts[i + 1]]``, decoded each time it is read.  The
+    encoding passes lone surrogates through, so any str round-trips.  The
+    first string may start past 0: a loaded table keeps the section it was
+    read from, lengths and all, without a copy.  ``find`` looks a string up
+    by bisection, so it needs the strings in ascending order; UTF-8 byte
+    order is code point order, ``sorted``'s order for str.  ``sampled``
+    holds every ``_SAMPLED``-th string's bytes, for ``find``.
+    """
+
+    def __init__(self, blob: bytes, lengths: Iterable[int], start: int = 0):
+        self.blob = blob
+        self.starts = array("I", itertools.accumulate(lengths, initial=start))
+        self.sampled = [self.encoded(position) for position in range(0, len(self), _SAMPLED)]
+
+    @classmethod
+    def of(cls, strings: Iterable[str]) -> "StringTable":
+        encoded = list(map(_encode, strings))
+        return cls(b"".join(encoded), map(len, encoded))
+
+    @classmethod
+    def from_section(cls, data: bytes, count: int, width: int) -> Optional["StringTable"]:
+        """The table of ``count`` strings that ``section`` stored in
+        ``data``, their lengths at ``width`` bytes each, or None when the
+        lengths do not add up to ``data``."""
+        start = count * width
+        if start > len(data):
+            return None
+        try:
+            table = cls(data, _little_endian(array(_TYPECODES[width], data[:start])), start)
+        except OverflowError:  # the lengths add up past 4 GiB
+            return None
+        return table if table.starts[-1] == len(data) else None
+
+    def section(self) -> Tuple[int, bytes]:
+        """The table as save_index stores it, and the width of its lengths:
+        each string's UTF-8 byte length, as little-endian unsigned integers
+        of the narrowest width that holds the longest, then the strings'
+        bytes."""
+        lengths = list(map(operator.sub, itertools.islice(self.starts, 1, None), self.starts))
+        lengths = array(_TYPECODES[_width(max(lengths, default=0))], lengths)
+        return lengths.itemsize, _little_endian(lengths).tobytes() + self.blob[self.starts[0]:self.starts[-1]]
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def encoded(self, position: int) -> bytes:
+        """The UTF-8 bytes of string ``position``, from 0 to ``len - 1``."""
+        return self.blob[self.starts[position]:self.starts[position + 1]]
+
+    def __getitem__(self, position: int) -> str:
+        return self.encoded(range(len(self))[position]).decode("utf-8", "surrogatepass")
+
+    def find(self, string: str) -> Optional[int]:
+        """The position of ``string``, or None for a string not in the table."""
+        key = _encode(string)
+        end = bisect.bisect_right(self.sampled, key) * _SAMPLED  # past the block that may hold it
+        at = bisect.bisect_left(range(len(self)), key, max(0, end - _SAMPLED), min(end, len(self)), key=self.encoded)
+        return at if at < len(self) and self.encoded(at) == key else None
+
+
 class DocumentTable(Sequence):
     """The indexed documents in ordinal order.
 
-    ``ids`` holds every doc_id, and ``dictionary``, ``ends`` and ``crcs``
-    the streams' deflate dictionary, ends and CRC-32s as ``save_index``
-    lays them out: document i's stream ends at ``ends[i]`` among the
-    streams and starts where document i - 1's ends.  ``read(start, end)``
+    ``ids`` holds every doc_id, as a ``StringTable``, and ``dictionary``,
+    ``ends`` and ``crcs`` the streams' deflate dictionary, ends and CRC-32s
+    as ``save_index`` lays them out: document i's stream ends at
+    ``ends[i]`` among the streams and starts where document i - 1's ends.  ``read(start, end)``
     returns the streams' bytes from ``start`` to ``end``: a table made by
     ``of`` slices them in memory, and a loaded one (``in_file``) reads them
     from its index file, where they stay.  A document is read, inflated,
@@ -211,7 +281,7 @@ class DocumentTable(Sequence):
     errors raised for a corrupt document.
     """
 
-    def __init__(self, ids: List[str], dictionary: bytes, ends: array, crcs: array,
+    def __init__(self, ids: StringTable, dictionary: bytes, ends: array, crcs: array,
                  read: Callable[[int, int], bytes], source: str):
         self.ids = ids
         self.dictionary = dictionary
@@ -235,11 +305,11 @@ class DocumentTable(Sequence):
             crcs.append(zlib.crc32(raw))
         ends = array("I", itertools.accumulate(map(len, streams)))
         joined = b"".join(streams)
-        return cls([doc.doc_id for doc in documents], dictionary, ends, crcs,
+        return cls(StringTable.of(doc.doc_id for doc in documents), dictionary, ends, crcs,
                    lambda start, end: joined[start:end], "index")
 
     @classmethod
-    def in_file(cls, handle, source: str, ids: List[str], dictionary: bytes, ends: array,
+    def in_file(cls, handle, source: str, ids: StringTable, dictionary: bytes, ends: array,
                 crcs: array) -> "DocumentTable":
         """The table whose streams lie in the open index file ``handle``,
         from its current position on.  The table reads a stream with one
@@ -294,7 +364,8 @@ class Index:
     """Inverted index with BM25 search, one representation whether built or
     loaded.
 
-    ``terms`` numbers every term, and the arrays hold the postings as
+    ``terms`` holds every term in UTF-8 byte order, a term's number being
+    its position there, and the arrays hold the postings as
     ``save_index`` lays them out, with a 0 before the term ends (``bounds``)
     and before the run ends (``run_starts``): term i's postings are
     ``ordinals[bounds[i]:bounds[i + 1]]``, in impact order, and its weight
@@ -306,9 +377,10 @@ class Index:
     bit-identical to summing ``bm25_term_score`` per posting.  The weights
     are stored in the index file, so they are fixed at build time.
 
-    The index is immutable after construction apart from three caches: the
-    weights ``postings`` lays out for lookup by ordinal the first time a term
-    is used, the documents ``documents`` inflates when first read, and
+    The index is immutable after construction apart from three caches: each
+    term's number and the weights ``postings`` lays out for lookup by
+    ordinal, found the first time the term is used (or that no document
+    holds it), the documents ``documents`` inflates when first read, and
     the doc_id -> ordinal dict ``get_document`` builds on its first call.
     Filling them is idempotent: two threads touching a term, a document or
     the dict at once build equal values and either may keep its own, so
@@ -320,7 +392,7 @@ class Index:
         self.documents = documents
         if not documents:
             raise CorpusError("index has no documents")
-        self.terms: dict = terms  # term -> its number
+        self.terms: StringTable = terms
         self.bounds: array = bounds  # uint32: 0, then each term's end in ordinals
         self.ordinals: array = ordinals
         self.weight_table: array = weight_table
@@ -330,33 +402,38 @@ class Index:
         self.doc_count = len(self.documents)
         self.avg_doc_length = avg_doc_length
         self._by_id: Optional[dict] = None  # doc_id -> ordinal
-        self._postings: dict = {}  # term -> its weights by ordinal, a row or a dict
+        # term -> its number and its weights by ordinal (a row or a dict), or
+        # None for a term no document holds
+        self._postings: dict = {}
 
-    def postings(self, term: str) -> Optional[list | dict]:
-        """``term``'s weights by ordinal, or None for a term no document
-        holds.  A term in more than one document in ``_ROW_SHARE`` gets a
-        row: a list of one slot per document, holding 0.0 for a document
-        without the term.  Any other term gets an ordinal -> weight dict of
-        the documents holding it, in impact order.  Either way the postings
+    def postings(self, term: str) -> Optional[Tuple[int, list | dict]]:
+        """``term``'s number and its weights by ordinal, or None for a term
+        no document holds.  The number is found by bisection in ``terms``
+        the first time, and kept with the weights; a term no document holds
+        is kept as None, since queries repeat such tokens (an infilling
+        query's mask, say).  A term in more than one document in
+        ``_ROW_SHARE`` gets a row: a list of one slot per document, holding
+        0.0 for a document without the term.  Any other term gets an
+        ordinal -> weight dict of the documents holding it, in impact order.  Either way the postings
         of one run share its weight's float object, and every weight is
         above 0.0, so looking a document up in the row, or in the dict with
         0.0 as the default, gives the same float."""
-        entry = self._postings.get(term)
-        if entry is None:
-            number = self.terms.get(term)
-            if number is None:
-                return None
+        if term in self._postings:
+            return self._postings[term]
+        entry = number = self.terms.find(term)
+        if number is not None:
             start, end = self.bounds[number], self.bounds[number + 1]
             first, last = self.run_starts[number], self.run_starts[number + 1]
             weights = map(self.weight_table.__getitem__, self.run_codes[first:last])
             weighted = itertools.chain.from_iterable(map(itertools.repeat, weights, self.run_lengths[first:last]))
             if _ROW_SHARE * (end - start) > self.doc_count:
-                entry = [0.0] * self.doc_count
+                weights = [0.0] * self.doc_count
                 # The deque only drives the map, which fills the row.
-                collections.deque(map(entry.__setitem__, self.ordinals[start:end], weighted), maxlen=0)
+                collections.deque(map(weights.__setitem__, self.ordinals[start:end], weighted), maxlen=0)
             else:
-                entry = dict(zip(self.ordinals[start:end], weighted))
-            self._postings[term] = entry
+                weights = dict(zip(self.ordinals[start:end], weighted))
+            entry = (number, weights)
+        self._postings[term] = entry
         return entry
 
     def get_document(self, doc_id: str) -> Optional[Document]:
@@ -404,7 +481,8 @@ def build_index(corpus: Iterable[Document]) -> Index:
     ordinals = array(_TYPECODES[_width(len(documents) - 1)])
     run_weights: List[float] = []
     run_ends: List[int] = []
-    for term_ordinals, tfs in postings.values():
+    terms = sorted(postings)  # in UTF-8 byte order, so a term's number is its rank
+    for term_ordinals, tfs in map(postings.__getitem__, terms):
         idf = bm25_idf(len(documents), len(term_ordinals))
         # Impact order: a stable sort keeps equal weights in ascending ordinal order.
         ranked = sorted(
@@ -423,9 +501,8 @@ def build_index(corpus: Iterable[Document]) -> Index:
     weight_table = array("d", sorted(set(run_weights), reverse=True))
     code_of = dict(zip(weight_table, itertools.count()))
     run_lengths = list(map(operator.sub, run_ends, itertools.chain((0,), run_ends)))
-    terms = dict(zip(postings, itertools.count()))
     return Index(
-        DocumentTable.of(documents), terms, bounds, ordinals, weight_table, run_starts,
+        DocumentTable.of(documents), StringTable.of(terms), bounds, ordinals, weight_table, run_starts,
         array(_TYPECODES[_width(len(weight_table) - 1)], map(code_of.__getitem__, run_weights)),
         array(_TYPECODES[_width(max(run_lengths))], run_lengths), avg_doc_length,
     )
@@ -459,18 +536,17 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = [term for term in tokenize(query) if term in index.terms]
-    counts = collections.Counter(terms)
-    postings = {term: index.postings(term) for term in counts}
-    in_query_order = [postings[term] for term in terms]
+    tokens = tokenize(query)
+    counts = collections.Counter(tokens)
+    found = {term: entry for term in counts if (entry := index.postings(term)) is not None}
+    in_query_order = [found[term][1] for term in tokens if term in found]
     ordinals, bounds = index.ordinals, index.bounds
     # Per term not yet walked to its end: [the bound on its unwalked
     # postings, the position in ordinals of its next posting, its end there,
     # chunk size, multiplicity, its weights].
     cursors = []
-    for term, m in counts.items():
-        number, weights = index.terms[term], postings[term]
-        start = bounds[number]
+    for term, (number, weights) in found.items():
+        start, m = bounds[number], counts[term]
         cursors.append([m * weights[ordinals[start]], start, bounds[number + 1], _FIRST_CHUNK, m, weights])
     bound = operator.itemgetter(0)
 
@@ -498,13 +574,12 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
             break
     if not top:
         return EMPTY_BUNDLE
-    # Every document scoring at or above the k-th best score, ranked exactly.
+    # Every document scoring at or above the k-th best score, ranked exactly:
+    # by doc_id (UTF-8 byte order is doc_id order), then stably by score.
     kth = top[0]
-    doc_ids = index.documents.ids
-    ranked = sorted(
-        (item for item in exact_scores.items() if item[1] >= kth),
-        key=lambda item: (-item[1], doc_ids[item[0]]),
-    )
+    doc_id = index.documents.ids.encoded
+    ranked = sorted((item for item in exact_scores.items() if item[1] >= kth), key=lambda item: doc_id(item[0]))
+    ranked.sort(key=operator.itemgetter(1), reverse=True)
     return _bundle((index.documents[o], s) for o, s in ranked[:k])
 
 
@@ -570,18 +645,24 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v8, one file holding, in this order:
+    """Write the index in format v9, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 8, ``doc_count``,
-      ``avg_doc_length``, ``weight_count`` (the number of distinct weights),
-      ``run_count`` (the number of weight runs), ``widths`` (the bytes per
-      item, 1, 2 or 4, of the ``ordinals``, the run ``codes`` and the run
-      ``lengths``), the byte lengths of the sections whose length nothing
-      else gives: ``terms_bytes``, ``ids_bytes`` and ``dictionary_bytes``,
-      and ``postings_crc``, the CRC-32 of the next seven sections' bytes,
-      from the terms to the run lengths, as the file holds them;
-    - the terms' UTF-8 bytes, joined by ``\\n`` (no term holds whitespace);
+    - one line of JSON header: ``version`` 9, ``doc_count``,
+      ``avg_doc_length``, ``term_count``, ``posting_count``,
+      ``weight_count`` (the number of distinct weights), ``run_count`` (the
+      number of weight runs), ``widths`` (the bytes per item, 1, 2 or 4, of
+      the ``terms``' and the ``ids``' lengths, the ``ordinals``, the run
+      ``codes`` and the run ``lengths``), the byte lengths of the sections
+      whose length nothing else gives: ``terms_bytes``, ``ids_bytes`` and
+      ``dictionary_bytes``, and ``postings_crc``, the CRC-32 of the next
+      seven sections' bytes, from the terms to the run lengths, as the file
+      holds them.  So the header alone sizes every section before the
+      document streams;
+    - the terms, in UTF-8 byte order, as a string table: each term's UTF-8
+      byte length as one little-endian array of unsigned integers of their
+      width, then the terms' UTF-8 bytes, one after another.  A term's
+      number is its rank;
     - each term's posting end as one little-endian uint32 array: its
       postings are those from the previous term's end to its own;
     - every posting's ordinal as one little-endian array of unsigned
@@ -596,7 +677,8 @@ def save_index(index: Index, path: str) -> None:
       then each run's code, the position of its weight in the table, and
       each run's length, its number of postings, as two little-endian arrays
       of unsigned integers of their widths;
-    - the doc_ids, in ordinal order, as a zlib-compressed ASCII JSON array;
+    - the doc_ids, in ordinal order, as a string table laid out as the
+      terms' (their UTF-8 passing lone surrogates through), zlib-compressed;
     - the deflate dictionary the document streams are primed with;
     - each document stream's end, then each document's CRC-32, as two
       little-endian uint32 arrays of ``doc_count`` items;
@@ -616,23 +698,29 @@ def save_index(index: Index, path: str) -> None:
     old file as it was.
     """
     documents = index.documents
-    postings = ["\n".join(index.terms).encode("utf-8"), *map(_little_endian, (
+    terms_width, terms = index.terms.section()
+    postings = [terms, *map(_little_endian, (
         index.bounds[1:], index.ordinals, index.weight_table, index.run_starts[1:], index.run_codes,
         index.run_lengths,
     ))]
-    ids = zlib.compress(json.dumps(documents.ids).encode("ascii"))
+    ids_width, ids = documents.ids.section()
+    ids = zlib.compress(ids)
     header = {
         "version": INDEX_VERSION,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
+        "term_count": len(index.terms),
+        "posting_count": len(index.ordinals),
         "weight_count": len(index.weight_table),
         "run_count": len(index.run_codes),
         "widths": {
+            "terms": terms_width,
             "ordinals": index.ordinals.itemsize,
             "codes": index.run_codes.itemsize,
             "lengths": index.run_lengths.itemsize,
+            "ids": ids_width,
         },
-        "terms_bytes": len(postings[0]),
+        "terms_bytes": len(terms),
         "ids_bytes": len(ids),
         "dictionary_bytes": len(documents.dictionary),
         "postings_crc": functools.reduce(lambda crc, section: zlib.crc32(section, crc), postings, 0),
@@ -687,13 +775,14 @@ def _read_header(path: str, line: bytes) -> dict:
     if header.get("version") != INDEX_VERSION:
         raise _rebuild_error(path, header.get("version"))
     integers = [header.get(key) for key in (
-        "doc_count", "weight_count", "run_count", "terms_bytes", "ids_bytes", "dictionary_bytes", "postings_crc",
+        "doc_count", "term_count", "posting_count", "weight_count", "run_count", "terms_bytes", "ids_bytes",
+        "dictionary_bytes", "postings_crc",
     )]
     widths = header.get("widths")
     if not (
         set(map(type, integers)) <= {int} and min(integers) >= 0
         and type(header.get("avg_doc_length")) in (int, float)
-        and isinstance(widths, dict) and sorted(widths) == ["codes", "lengths", "ordinals"]
+        and isinstance(widths, dict) and sorted(widths) == ["codes", "ids", "lengths", "ordinals", "terms"]
         and all(type(width) is int and width in _TYPECODES for width in widths.values())
     ):
         raise CorpusError(f"{path}: corrupt index header")
@@ -701,19 +790,23 @@ def _read_header(path: str, line: bytes) -> dict:
 
 
 def load_index(path: str) -> Index:
-    """Read an index in format v8, as written by save_index.
+    """Read an index in format v9, as written by save_index.
 
     Raises CorpusError naming ``path`` for a file that is not a graphfc
     index, for another format version (older files, JSON ones included, must
     be rebuilt), for a file that is truncated, longer than its header says,
     whose header or doc_id list is corrupt or whose postings do not match
-    their CRC-32, and for an index with no documents.  The document streams
-    are left in the file: the index keeps the file open and reads each
-    document's stream when that document is first read
-    (``DocumentTable.in_file``).  So the file must not be rewritten in place
-    while the index is in use; save_index replaces it by a rename, which is
-    safe.  A corrupt or unreadable document stream raises CorpusError when
-    that document is first read.
+    their CRC-32 or their header, and for an index with no documents.  The
+    header sizes every read before the CRC-32 is compared, so a corrupt byte
+    in the postings is reported as such.  The terms and the doc_ids are
+    kept as the bytes they were read as (``StringTable``), nothing is built
+    per term, document or posting.  The document streams are left in the
+    file: the index keeps the file open and reads each document's stream
+    when that document is first read (``DocumentTable.in_file``).  So the
+    file must not be rewritten in place while the index is in use;
+    save_index replaces it by a rename, which is safe.  A corrupt or
+    unreadable document stream raises CorpusError when that document is
+    first read.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
@@ -746,22 +839,24 @@ def load_index(path: str) -> Index:
             crc = zlib.crc32(values, crc)  # the file's bytes, before any byte swap
             return _little_endian(values)
 
-        term_count = terms.count(b"\n") + 1 if terms else 0
-        widths = header["widths"]
+        term_count, widths = header["term_count"], header["widths"]
         bounds = array("I", [0]) + read_postings("I", term_count)
-        ordinals = read_postings(_TYPECODES[widths["ordinals"]], bounds[-1])
+        ordinals = read_postings(_TYPECODES[widths["ordinals"]], header["posting_count"])
         weight_table = read_postings("d", header["weight_count"])
         run_starts = array("I", [0]) + read_postings("I", term_count)
         run_codes = read_postings(_TYPECODES[widths["codes"]], header["run_count"])
         run_lengths = read_postings(_TYPECODES[widths["lengths"]], header["run_count"])
         if crc != header["postings_crc"]:
             raise CorpusError(f"{path}: corrupt postings (their CRC-32 does not match)")
-        ids_blob = read(header["ids_bytes"])
+        terms = StringTable.from_section(terms, term_count, widths["terms"])
+        if terms is None or bounds[-1] != len(ordinals) or run_starts[-1] != len(run_codes):
+            raise CorpusError(f"{path}: corrupt postings (their counts do not add up)")
+        ids = read(header["ids_bytes"])
         try:
-            ids = json.loads(zlib.decompress(ids_blob))
-        except (zlib.error, ValueError):
+            ids = StringTable.from_section(zlib.decompress(ids), header["doc_count"], widths["ids"])
+        except zlib.error:
             ids = None
-        if not (isinstance(ids, list) and len(ids) == header["doc_count"] and set(map(type, ids)) <= {str}):
+        if ids is None:
             raise CorpusError(f"{path}: corrupt doc_id list")
         dictionary = read(header["dictionary_bytes"])
         document_ends = _little_endian(read_array("I", len(ids)))
@@ -771,8 +866,7 @@ def load_index(path: str) -> Index:
         if streams_bytes < file_bytes - handle.tell():
             raise CorpusError(f"{path}: index file is longer than its header says")
         documents = DocumentTable.in_file(handle, path, ids, dictionary, document_ends, crcs)
-    numbers = dict(zip(terms.decode("utf-8").split("\n") if terms else (), itertools.count()))
     return Index(
-        documents, numbers, bounds, ordinals, weight_table, run_starts, run_codes, run_lengths,
+        documents, terms, bounds, ordinals, weight_table, run_starts, run_codes, run_lengths,
         header["avg_doc_length"],
     )

@@ -78,8 +78,7 @@ def impact_ordered(index, term):
     """``term``'s postings as an ordinal -> weight dict in impact order: its
     stored ordinals, each with its weight read from ``index.postings``,
     whichever form that keeps the weights in."""
-    weights = index.postings(term)
-    number = index.terms[term]
+    number, weights = index.postings(term)
     return {o: weights[o] for o in index.ordinals[index.bounds[number]:index.bounds[number + 1]]}
 
 
@@ -336,6 +335,71 @@ class TestSearchMatchesReference:
             assert got == brute_force_search(index, query, k)
 
 
+# Letters only, ASCII and not, so that "0" sorts before every term and U+2A6B2,
+# a CJK ideograph outside the BMP, after every term.
+_LETTERS = "abzßéωя日"
+_BEFORE_EVERY_TERM, _AFTER_EVERY_TERM = "0", "\U0002a6b2"
+
+
+@st.composite
+def non_ascii_corpora(draw):
+    """Small corpora whose words mix ASCII and non-ASCII letters."""
+    words = st.text(alphabet=_LETTERS, min_size=1, max_size=4)
+    texts = draw(st.lists(st.lists(words, min_size=1, max_size=6).map(" ".join), min_size=1, max_size=10))
+    return [Document(f"doc{i:02d}", "", text) for i, text in enumerate(texts)]
+
+
+class TestTermLookup:
+    @given(non_ascii_corpora(), st.lists(st.text(alphabet=_LETTERS + "0", min_size=1, max_size=5), max_size=8))
+    @settings(max_examples=examples(100), deadline=None)
+    def test_loaded_index_finds_what_the_built_one_does(self, docs, words):
+        built, loaded = built_and_loaded(docs)
+        terms = sorted({term for doc in docs for term in tokenize(doc.text)})
+        assert terms == sorted(terms, key=lambda term: term.encode())  # code point order is byte order
+        for index in (built, loaded):
+            assert list(index.terms) == terms
+        for number, term in enumerate(terms):
+            assert built.postings(term)[0] == loaded.postings(term)[0] == number
+            assert loaded.postings(term)[1] == built.postings(term)[1]
+            assert loaded.postings(term) == built.postings(term)
+        # Before the first term, after the last, and between a term and the
+        # next: a term followed by "0", or a term's prefix not indexed.
+        absent = {_BEFORE_EVERY_TERM, _AFTER_EVERY_TERM} | {term + "0" for term in terms}
+        absent |= {term[:cut] for term in terms for cut in range(1, len(term))} - set(terms)
+        for token in absent:
+            for index in (built, loaded):
+                assert index.postings(token) is None
+                assert len(search(index, token, 3)) == 0
+        queries = [" ".join(words), " ".join(terms[:3] + words), _AFTER_EVERY_TERM + " " + " ".join(terms[-2:])]
+        for query in queries:
+            for k in (1, 3, len(docs)):
+                assert search(loaded, query, k) == search(built, query, k)
+
+    def test_terms_across_many_sampled_blocks(self):
+        # 510 terms: find bisects the sampled strings, then one block.
+        terms = sorted(f"{a}{b}{c}" for a in "bdé" for b in "aköz日" for c in range(34))
+        assert len(terms) == 510 > 4 * retrieval._SAMPLED
+        docs = [Document(f"d{i}", "", " ".join(terms[i::7])) for i in range(7)]
+        for index in built_and_loaded(docs):
+            assert list(index.terms) == terms
+            assert [index.postings(term)[0] for term in terms] == list(range(len(terms)))
+            for absent in ["a", "c", "\U0002a6b2"] + [term + "x" for term in terms] + [term[:-1] for term in terms]:
+                if absent not in terms:
+                    assert index.postings(absent) is None
+
+    def test_long_terms_and_ids_widen_their_lengths(self, tmp_path):
+        docs = [Document("i" * 300, "", "a" * 300 + " b"), Document("d2", "", "b c")]
+        index = build_index(docs)
+        path = tmp_path / "index"
+        save_index(index, str(path))
+        header, _ = index_sections(path.read_bytes())
+        assert header["widths"]["terms"] == header["widths"]["ids"] == 2
+        loaded = load_index(str(path))
+        assert list(loaded.terms) == ["a" * 300, "b", "c"] and loaded.postings("a" * 300)[0] == 0
+        assert loaded.get_document("i" * 300) == docs[0]
+        assert search(loaded, "b " + "a" * 300, 2) == search(index, "b " + "a" * 300, 2)
+
+
 _RARE = st.sampled_from(["zeta", "eta", "theta"])
 _FREQUENT = st.sampled_from(["the", "of", "and"])
 
@@ -470,8 +534,8 @@ class TestPrunedSearchMatchesReference:
         docs = _mixed_forms_corpus()
         query = "zeta the kappa of eta the iota zeta"
         for index in built_and_loaded(docs):
-            assert {type(index.postings(term)) for term in ("the", "of", "iota")} == {list}
-            assert {type(index.postings(term)) for term in ("kappa", "zeta", "eta")} == {dict}
+            assert {type(index.postings(term)[1]) for term in ("the", "of", "iota")} == {list}
+            assert {type(index.postings(term)[1]) for term in ("kappa", "zeta", "eta")} == {dict}
             for k in (1, 10, len(docs)):
                 assert pruned_search(index, query, k, first_chunk) == brute_force_search(index, query, k)
 
@@ -479,13 +543,15 @@ class TestPrunedSearchMatchesReference:
         # 80 documents: "iota" is in 11 of them, "kappa" in 10, one eighth.
         index = build_index(_mixed_forms_corpus())
         assert index.doc_count == 80
-        the = index.postings("the")  # in every document
+        _, the = index.postings("the")  # in every document
         assert type(the) is list and len(the) == index.doc_count and 0.0 not in the
-        iota = index.postings("iota")
+        _, iota = index.postings("iota")
         assert type(iota) is list and len(iota) == index.doc_count
         assert sum(weight > 0.0 for weight in iota) == 11
-        assert type(index.postings("kappa")) is dict and len(index.postings("kappa")) == 10
-        assert type(index.postings("eta")) is dict and len(index.postings("eta")) == 1  # in one document
+        _, kappa = index.postings("kappa")
+        assert type(kappa) is dict and len(kappa) == 10
+        _, eta = index.postings("eta")
+        assert type(eta) is dict and len(eta) == 1  # in one document
 
     @_FIRST_CHUNKS
     def test_every_walked_document_is_scored_once_the_top_k_is_full(self, first_chunk):
@@ -573,10 +639,11 @@ class TestPersistence:
 
     def test_empty_index_is_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
-        ids = zlib.compress(b"[]")
+        ids = zlib.compress(b"")
         header = {
-            "version": retrieval.INDEX_VERSION, "doc_count": 0, "avg_doc_length": 0.0,
-            "weight_count": 0, "run_count": 0, "widths": {"ordinals": 1, "codes": 1, "lengths": 1},
+            "version": retrieval.INDEX_VERSION, "doc_count": 0, "avg_doc_length": 0.0, "term_count": 0,
+            "posting_count": 0, "weight_count": 0, "run_count": 0,
+            "widths": {"terms": 1, "ordinals": 1, "codes": 1, "lengths": 1, "ids": 1},
             "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0, "postings_crc": 0,
         }
         path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + ids)
@@ -615,6 +682,15 @@ class TestPersistence:
         newer = retrieval.INDEX_VERSION + 1
         rewrite_header(path, version=newer)
         with pytest.raises(CorpusError, match=f"version {newer} .*re-run `graphfc index`"):
+            load_index(str(path))
+
+    def test_version_8_file_is_rejected(self, tmp_path, tiny_index):
+        # v8 kept the terms \n-joined in first-seen order and the doc_ids as
+        # a JSON array, and its header did not count the terms or postings.
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        rewrite_header(path, version=8)
+        with pytest.raises(CorpusError, match="version 8 .*re-run `graphfc index`"):
             load_index(str(path))
 
     def test_version_7_file_is_rejected(self, tmp_path, tiny_index):
@@ -677,7 +753,7 @@ class TestPersistence:
                 (index.run_lengths, max(index.run_lengths)),
             ):
                 assert values.itemsize == retrieval._width(largest)
-            for term, number in index.terms.items():
+            for number, term in enumerate(index.terms):
                 start, end = index.bounds[number], index.bounds[number + 1]
                 first, last = index.run_starts[number], index.run_starts[number + 1]
                 codes, lengths = list(index.run_codes[first:last]), list(index.run_lengths[first:last])
@@ -719,14 +795,14 @@ class TestPersistence:
 
         def fail_on_the_weights(values):
             calls.append(values)
-            if len(calls) == 3:  # everything up to the term ends and the ordinals is written
+            if len(calls) == 4:  # everything up to the term ends and the ordinals is written
                 raise OSError("disk full")
             return values
 
         monkeypatch.setattr(retrieval, "_little_endian", fail_on_the_weights)
         with pytest.raises(OSError, match="disk full"):
             save_index(tiny_index, str(path))
-        assert [values.typecode for values in calls] == ["I", "B", "d"]
+        assert [values.typecode for values in calls] == ["B", "I", "B", "d"]
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["index"]
         monkeypatch.undo()
@@ -807,11 +883,13 @@ class TestPersistence:
             load_index(str(path))
 
     @pytest.mark.parametrize("widths", [
-        {"ordinals": 1, "codes": 3, "lengths": 1},
-        {"ordinals": 8, "codes": 1, "lengths": 1},
-        {"ordinals": 1, "codes": 1, "lengths": True},
-        {"ordinals": 1, "codes": 1},
-        [1, 1, 1],
+        {"terms": 1, "ordinals": 1, "codes": 3, "lengths": 1, "ids": 1},
+        {"terms": 1, "ordinals": 8, "codes": 1, "lengths": 1, "ids": 1},
+        {"terms": 1, "ordinals": 1, "codes": 1, "lengths": True, "ids": 1},
+        {"terms": 1, "ordinals": 1, "codes": 1, "ids": 1},
+        {"terms": 0, "ordinals": 1, "codes": 1, "lengths": 1, "ids": 1},
+        {"terms": 1, "ordinals": 1, "codes": 1, "lengths": 1, "ids": 2 ** 40},
+        [1, 1, 1, 1, 1],
     ])
     def test_widths_must_be_1_2_or_4(self, tmp_path, tiny_index, widths):
         path = tmp_path / "index"
@@ -824,17 +902,20 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = path.read_bytes()
-        _, sections = index_sections(data)
+        header, sections = index_sections(data)
         terms_at, ends_at = sections["terms"][0], sections["ends"][0]
-        terms = data[slice(*sections["terms"])].split(b"\n")
+        # The terms' section: their lengths, then their bytes.
+        bytes_at = terms_at + header["term_count"] * item_width(header, "term_lengths")
+        terms = list(tiny_index.terms)
         ends = array("I", data[slice(*sections["ends"])])
-        z = terms.index(b"z")
+        z = terms.index("z")
         for position, replacement in (
             (ends_at, bytes(4)),  # the first term holds no posting
             (ends_at + 4, data[ends_at:ends_at + 4]),  # the second term holds no posting
             (ends_at + 4 * (len(ends) - 1), bytes(4)),  # the ends decrease
-            (terms_at + len(b"\n".join(terms[:z])) + 1, b"x"),  # "z" becomes a second "x"
-            (terms_at, b"\xff"),  # not UTF-8
+            (bytes_at + len("".join(terms[:z])), b"x"),  # "z" becomes a second "x"
+            (bytes_at, b"\xff"),  # not UTF-8
+            (terms_at, bytes([data[terms_at] + 1])),  # the first term is a byte longer
         ):
             corrupt = bytearray(data)
             corrupt[position:position + len(replacement)] = replacement
@@ -884,32 +965,39 @@ class TestPersistence:
     @pytest.mark.parametrize("section,values", [
         ("run_lengths", [0, 2]),  # a run of no postings
         ("run_lengths", [1, 2]),  # 3 postings, not 2
-        ("run_starts", [0, 5]),  # x's runs end before they start
+        ("run_starts", [0, "y_runs_end"]),  # x's runs end before they start
         ("ordinals", [0, 0]),  # a document named twice
         ("run_codes", [5, 3]),  # the weights rise
         ("run_codes", [3, "weight_count"]),  # a code past the table
         ("ordinals", [1, "doc_count"]),  # a document past the last
     ])
     def test_corrupt_term_is_rejected_at_load(self, tmp_path, docs, section, values):
-        # "x", the second term, holds postings 1 and 2, each its own weight
-        # run (runs 1 and 2, codes 3 and 5 of the 6 distinct weights, or 1
-        # and 5 of 7 with the padding); the first three terms' runs end at
-        # run 1, 3 and 5.  A value named by a string is that count of the
-        # index.
+        # "x", the fifth term in byte order (the sixth after the padding's
+        # "pad"), holds two postings, each its own weight run (codes 3 and 5
+        # of the 6 distinct weights, or 1 and 5 of 7 with the padding).  Each
+        # case rewrites two items from x's first: x's postings or runs, or,
+        # among the run ends, x's and y's.  A value named by a string is
+        # that count of the index.
         index, row = build_index(docs), docs is TINY
-        assert index.terms["x"] == 1 and list(index.bounds[1:3]) == [1, 3]
-        assert list(index.run_lengths[1:3]) == [1, 1]
-        assert list(index.run_codes[1:3]) == [3 if row else 1, 5] and len(index.weight_table) == 6 + (not row)
-        assert list(index.run_starts[1:4]) == [1, 3, 5]
-        assert type(index.postings("x")) is (list if row else dict)
-        counts = {"doc_count": index.doc_count, "weight_count": len(index.weight_table)}
+        x = index.terms.find("x")
+        assert x == 4 + (not row) and list(index.terms)[x - 1:x + 2] == ["q", "x", "y"]
+        first_posting, first_run = index.bounds[x], index.run_starts[x]
+        assert index.bounds[x + 1] == first_posting + 2 and index.run_starts[x + 1] == first_run + 2
+        assert list(index.run_lengths[first_run:first_run + 2]) == [1, 1]
+        assert list(index.run_codes[first_run:first_run + 2]) == [3 if row else 1, 5]
+        assert len(index.weight_table) == 6 + (not row)
+        assert type(index.postings("x")[1]) is (list if row else dict)
+        counts = {"doc_count": index.doc_count, "weight_count": len(index.weight_table),
+                  "y_runs_end": index.run_starts[x + 2]}
         values = [counts.get(value, value) for value in values]
         path = tmp_path / "index"
         save_index(index, str(path))
         data = bytearray(path.read_bytes())
         header, sections = index_sections(bytes(data))
         width = item_width(header, section)
-        start = sections[section][0] + width  # the second item of the section
+        # The run ends section holds each term's end, so x's is its item x.
+        first = {"ordinals": first_posting, "run_codes": first_run, "run_lengths": first_run, "run_starts": x}
+        start = sections[section][0] + first[section] * width
         data[start:start + 2 * width] = b"".join(value.to_bytes(width, "little") for value in values)
         path.write_bytes(bytes(data))
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
@@ -922,7 +1010,7 @@ class TestPersistence:
         # x's second and smaller weight is entry 5 of the weight table; it
         # becomes a weight no stored posting can hold.
         index = build_index(docs)
-        assert index.run_codes[index.run_starts[index.terms["x"] + 1] - 1] == 5
+        assert index.run_codes[index.run_starts[index.terms.find("x") + 1] - 1] == 5
         path = tmp_path / "index"
         save_index(index, str(path))
         data = bytearray(path.read_bytes())
@@ -944,9 +1032,10 @@ class TestPersistence:
 
     def test_any_flipped_byte_in_the_postings_is_rejected_at_load(self, tmp_path, tiny_index):
         # The seven sections from the terms to the run lengths lie one after
-        # another, and the header's CRC-32 covers them all.  A flip that
-        # changes a count (a term end, or a newline among the terms) may
-        # instead ask for more bytes than the file holds.
+        # another, and the header's CRC-32 covers them all.  The header alone
+        # sizes every read before the CRC-32 is compared, so a flip that
+        # changes a count (a term's length or a term end) is found by the
+        # CRC-32 too.
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = path.read_bytes()
@@ -959,7 +1048,7 @@ class TestPersistence:
                 corrupt[position] ^= mask
                 path.write_bytes(bytes(corrupt))
                 with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: "
-                                                      f"(corrupt postings|index file is truncated)"):
+                                                      r"corrupt postings \(their CRC-32 does not match\)$"):
                     load_index(str(path))
 
 
@@ -988,13 +1077,11 @@ def index_sections(data: bytes):
     def uint32(raw):
         return int.from_bytes(raw, "little")
 
-    terms = data[header_end:header_end + header["terms_bytes"]]
-    term_count = len(terms.split(b"\n"))
-    section("terms", len(terms))
-    postings = uint32(section("ends", 4 * term_count))
-    section("ordinals", item_width(header, "ordinals") * postings)
+    section("terms", header["terms_bytes"])
+    section("ends", 4 * header["term_count"])
+    section("ordinals", item_width(header, "ordinals") * header["posting_count"])
     section("weight_table", 8 * header["weight_count"])
-    section("run_starts", 4 * term_count)
+    section("run_starts", 4 * header["term_count"])
     section("run_codes", item_width(header, "run_codes") * header["run_count"])
     section("run_lengths", item_width(header, "run_lengths") * header["run_count"])
     section("ids", header["ids_bytes"])
@@ -1008,9 +1095,13 @@ def index_sections(data: bytes):
 
 def item_width(header: dict, section: str) -> int:
     """Bytes per item of one of the integer sections ``index_sections``
-    names, in a saved index with this header."""
+    names, or of the terms' lengths (``term_lengths``), in a saved index
+    with this header."""
     widths = header["widths"]
-    return {"ordinals": widths["ordinals"], "run_codes": widths["codes"], "run_lengths": widths["lengths"]}.get(section, 4)
+    return {
+        "term_lengths": widths["terms"], "ordinals": widths["ordinals"], "run_codes": widths["codes"],
+        "run_lengths": widths["lengths"],
+    }.get(section, 4)
 
 
 def document_start(data: bytes, sections: dict, ordinal: int) -> int:
