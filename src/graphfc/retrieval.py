@@ -256,14 +256,24 @@ class StringTable(Sequence):
         return self.blob[self.starts[position]:self.starts[position + 1]]
 
     def __getitem__(self, position: int) -> str:
-        return self.encoded(range(len(self))[position]).decode("utf-8", "surrogatepass")
+        starts = self.starts
+        if not 0 <= position < len(starts) - 1:
+            position = range(len(starts) - 1)[position]  # from the end, or IndexError
+        return self.blob[starts[position]:starts[position + 1]].decode("utf-8", "surrogatepass")
 
     def find(self, string: str) -> Optional[int]:
         """The position of ``string``, or None for a string not in the table."""
         key = _encode(string)
+        blob, starts, count = self.blob, self.starts, len(self)
         end = bisect.bisect_right(self.sampled, key) * _SAMPLED  # past the block that may hold it
-        at = bisect.bisect_left(range(len(self)), key, max(0, end - _SAMPLED), min(end, len(self)), key=self.encoded)
-        return at if at < len(self) and self.encoded(at) == key else None
+        low, high = max(0, end - _SAMPLED), min(end, count)
+        while low < high:  # bisect_left over the block, slicing in line: a call per probe costs more
+            middle = (low + high) // 2
+            if blob[starts[middle]:starts[middle + 1]] < key:
+                low = middle + 1
+            else:
+                high = middle
+        return low if low < count and blob[starts[low]:starts[low + 1]] == key else None
 
 
 class DocumentTable(Sequence):
@@ -575,11 +585,13 @@ def search(index: Index, query: str, k: int) -> EvidenceBundle:
     if not top:
         return EMPTY_BUNDLE
     # Every document scoring at or above the k-th best score, ranked exactly:
-    # by doc_id (UTF-8 byte order is doc_id order), then stably by score.
+    # by score descending, then by doc_id (UTF-8 byte order is doc_id order).
     kth = top[0]
-    doc_id = index.documents.ids.encoded
-    ranked = sorted((item for item in exact_scores.items() if item[1] >= kth), key=lambda item: doc_id(item[0]))
-    ranked.sort(key=operator.itemgetter(1), reverse=True)
+    ids, starts = index.documents.ids.blob, index.documents.ids.starts
+    ranked = sorted(
+        (item for item in exact_scores.items() if item[1] >= kth),
+        key=lambda item: (-item[1], ids[starts[item[0]]:starts[item[0] + 1]]),
+    )
     return _bundle((index.documents[o], s) for o, s in ranked[:k])
 
 

@@ -71,9 +71,13 @@ MUTANTS = [
            "max(0, end - _SAMPLED)",
            "max(0, end - _SAMPLED + 1)",
            ("tests/test_retrieval.py",)),
+    Mutant("block-bisection-past-the-term", RETRIEVAL,
+           "if blob[starts[middle]:starts[middle + 1]] < key:",
+           "if blob[starts[middle]:starts[middle + 1]] <= key:",
+           ("tests/test_retrieval.py",)),
     Mutant("absent-term-found", RETRIEVAL,
-           "return at if at < len(self) and self.encoded(at) == key else None",
-           "return at if at < len(self) else None",
+           "return low if low < count and blob[starts[low]:starts[low + 1]] == key else None",
+           "return low if low < count else None",
            ("tests/test_retrieval.py",)),
 ]
 
