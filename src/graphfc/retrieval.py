@@ -62,7 +62,7 @@ _FIRST_CHUNK = 8
 _ROW_SHARE = 8
 
 INDEX_MAGIC = "graphfc-index"
-INDEX_VERSION = 9
+INDEX_VERSION = 10
 # An index file starts with this line, then one line of JSON header.
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode()
 # How the document streams are compressed.  Deflate's fixed Huffman codes
@@ -157,6 +157,17 @@ def bm25_term_score(
 # The array typecode of each width, in bytes, that an index file stores
 # integers at.
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
+# The sections of an index file, in file order, each with the typecodes its
+# items may have: "B", "H" or "I" (``_NARROWEST``: the narrowest that holds
+# the section's largest item), "I" or "d" alone, or "" for bytes.  The
+# header gives each section's typecode and item count.
+_NARROWEST = tuple(_TYPECODES.values())
+_SECTIONS = (
+    ("term_lengths", _NARROWEST), ("terms", ("",)), ("term_ends", ("I",)), ("ordinals", _NARROWEST),
+    ("weights", ("d",)), ("run_ends", ("I",)), ("run_codes", _NARROWEST), ("run_lengths", _NARROWEST),
+    ("id_lengths", _NARROWEST), ("ids", ("",)), ("dictionary", ("",)), ("document_ends", ("I",)),
+    ("document_crcs", ("I",)),
+)
 # ``StringTable.find`` bisects a list of every _SAMPLED-th string's bytes in
 # C, then the one block of strings that can hold the key.
 _SAMPLED = 64
@@ -168,11 +179,12 @@ def _width(largest: int) -> int:
     return 1 if largest < 1 << 8 else 2 if largest < 1 << 16 else 4
 
 
-def _little_endian(values: array) -> array:
-    """``values`` with its items in little-endian byte order: itself on a
-    little-endian host, a byte-swapped copy otherwise (swapping is its own
-    inverse, so this serves reading and writing alike)."""
-    if sys.byteorder == "big":
+def _little_endian(values):
+    """``values`` with its items in little-endian byte order: itself when
+    it is bytes or the host is little-endian, a byte-swapped copy otherwise
+    (swapping is its own inverse, so this serves reading and writing
+    alike)."""
+    if sys.byteorder == "big" and isinstance(values, array):
         values = array(values.typecode, values)
         values.byteswap()
     return values
@@ -207,17 +219,16 @@ class StringTable(Sequence):
     after another, and an array of where each starts, so that the table
     holds no Python object per string: string i is
     ``blob[starts[i]:starts[i + 1]]``, decoded each time it is read.  The
-    encoding passes lone surrogates through, so any str round-trips.  The
-    first string may start past 0: a loaded table keeps the section it was
-    read from, lengths and all, without a copy.  ``find`` looks a string up
-    by bisection, so it needs the strings in ascending order; UTF-8 byte
-    order is code point order, ``sorted``'s order for str.  ``sampled``
-    holds every ``_SAMPLED``-th string's bytes, for ``find``.
+    encoding passes lone surrogates through, so any str round-trips.
+    ``find`` looks a string up by bisection, so it needs the strings in
+    ascending order; UTF-8 byte order is code point order, ``sorted``'s
+    order for str.  ``sampled`` holds every ``_SAMPLED``-th string's bytes,
+    for ``find``.
     """
 
-    def __init__(self, blob: bytes, lengths: Iterable[int], start: int = 0):
+    def __init__(self, blob: bytes, lengths: Iterable[int]):
         self.blob = blob
-        self.starts = array("I", itertools.accumulate(lengths, initial=start))
+        self.starts = array("I", itertools.accumulate(lengths, initial=0))
         self.sampled = [self.encoded(position) for position in range(0, len(self), _SAMPLED)]
 
     @classmethod
@@ -225,28 +236,11 @@ class StringTable(Sequence):
         encoded = list(map(_encode, strings))
         return cls(b"".join(encoded), map(len, encoded))
 
-    @classmethod
-    def from_section(cls, data: bytes, count: int, width: int) -> Optional["StringTable"]:
-        """The table of ``count`` strings that ``section`` stored in
-        ``data``, their lengths at ``width`` bytes each, or None when the
-        lengths do not add up to ``data``."""
-        start = count * width
-        if start > len(data):
-            return None
-        try:
-            table = cls(data, _little_endian(array(_TYPECODES[width], data[:start])), start)
-        except OverflowError:  # the lengths add up past 4 GiB
-            return None
-        return table if table.starts[-1] == len(data) else None
-
-    def section(self) -> Tuple[int, bytes]:
-        """The table as save_index stores it, and the width of its lengths:
-        each string's UTF-8 byte length, as little-endian unsigned integers
-        of the narrowest width that holds the longest, then the strings'
-        bytes."""
+    def lengths(self) -> array:
+        """Each string's UTF-8 byte length, at the narrowest width that
+        holds the longest."""
         lengths = list(map(operator.sub, itertools.islice(self.starts, 1, None), self.starts))
-        lengths = array(_TYPECODES[_width(max(lengths, default=0))], lengths)
-        return lengths.itemsize, _little_endian(lengths).tobytes() + self.blob[self.starts[0]:self.starts[-1]]
+        return array(_TYPECODES[_width(max(lengths, default=0))], lengths)
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -657,85 +651,69 @@ def read_corpus(path: str) -> Iterable[Document]:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index in format v9, one file holding, in this order:
+    """Write the index in format v10, one file holding, in this order:
 
     - the line ``graphfc-index``;
-    - one line of JSON header: ``version`` 9, ``doc_count``,
-      ``avg_doc_length``, ``term_count``, ``posting_count``,
-      ``weight_count`` (the number of distinct weights), ``run_count`` (the
-      number of weight runs), ``widths`` (the bytes per item, 1, 2 or 4, of
-      the ``terms``' and the ``ids``' lengths, the ``ordinals``, the run
-      ``codes`` and the run ``lengths``), the byte lengths of the sections
-      whose length nothing else gives: ``terms_bytes``, ``ids_bytes`` and
-      ``dictionary_bytes``, and ``postings_crc``, the CRC-32 of the next
-      seven sections' bytes, from the terms to the run lengths, as the file
-      holds them.  So the header alone sizes every section before the
-      document streams;
+    - one line of JSON header: ``version`` 10, ``avg_doc_length``,
+      ``sections``, one ``[name, typecode, count]`` per section below, in
+      file order as ``_SECTIONS`` names them, and ``crc``, the CRC-32 of
+      every byte from the first section through the document CRC-32s, as
+      the file holds them.  A section of typecode "" holds ``count`` bytes,
+      any other ``count`` little-endian items of the ``array`` typecode.  So
+      the header alone sizes every section before the document streams;
     - the terms, in UTF-8 byte order, as a string table: each term's UTF-8
-      byte length as one little-endian array of unsigned integers of their
-      width, then the terms' UTF-8 bytes, one after another.  A term's
-      number is its rank;
-    - each term's posting end as one little-endian uint32 array: its
-      postings are those from the previous term's end to its own;
-    - every posting's ordinal as one little-endian array of unsigned
-      integers of the ordinals' width, in term order and, within a term, in
-      impact order: descending weight, ties by ascending ordinal;
+      byte length (``term_lengths``), then the terms' UTF-8 bytes, one after
+      another (``terms``).  A term's number is its rank;
+    - each term's posting end (``term_ends``): its postings are those from
+      the previous term's end to its own;
+    - every posting's ordinal (``ordinals``), in term order and, within a
+      term, in impact order: descending weight, ties by ascending ordinal;
     - the postings' BM25 weights as runs of equal weight, in the same order.
       A run ends at every change of weight and at every term's end.  They
-      are stored as the weight table, every distinct weight once as one
-      little-endian float64 array in strictly descending order; each term's
-      run end (the next term's first run number) as one little-endian uint32
-      array: its runs are those from the previous term's end to its own;
-      then each run's code, the position of its weight in the table, and
-      each run's length, its number of postings, as two little-endian arrays
-      of unsigned integers of their widths;
+      are stored as the weight table (``weights``), every distinct weight
+      once, in strictly descending order; each term's run end, the next
+      term's first run number (``run_ends``): its runs are those from the
+      previous term's end to its own; then each run's code, the position of
+      its weight in the table (``run_codes``), and each run's length, its
+      number of postings (``run_lengths``);
     - the doc_ids, in ordinal order, as a string table laid out as the
-      terms' (their UTF-8 passing lone surrogates through), zlib-compressed;
-    - the deflate dictionary the document streams are primed with;
-    - each document stream's end, then each document's CRC-32, as two
-      little-endian uint32 arrays of ``doc_count`` items;
+      terms' (their UTF-8 passing lone surrogates through), its bytes
+      zlib-compressed (``id_lengths``, then ``ids``);
+    - the deflate dictionary the document streams are primed with
+      (``dictionary``);
+    - each document stream's end (``document_ends``), then each document's
+      CRC-32 (``document_crcs``);
     - the document streams, one after another: each document's is one
       raw-deflate stream primed with the dictionary, whose inflated bytes,
       the ones its CRC-32 covers, are the title's UTF-8 byte length as a
       little-endian uint32, then the title's and the text's UTF-8 bytes.
 
-    Each width is the narrowest of 1, 2 or 4 bytes that holds the largest
-    value of its array: ``doc_count - 1`` for the ordinals.  Term frequencies
-    and document lengths are not stored: the weights are all a search reads.
-    A run costs its code and its length (3 bytes for a 2-byte code and a
-    1-byte length) where a weight stored per posting cost 8, plus 8 bytes
-    per distinct weight and 4 per term.  The same index always gives the
-    same bytes.  The file is written under a temporary name in the same
+    The lengths, the ordinals, the codes and the run lengths are unsigned
+    integers of the narrowest width, 1, 2 or 4 bytes, that holds the
+    largest of their values (``doc_count - 1`` for the ordinals).  Term
+    frequencies and document lengths are not stored: the weights are all a
+    search reads.  A run costs its code and its length (3 bytes for a 2-byte
+    code and a 1-byte length) where a weight stored per posting cost 8, plus
+    8 bytes per distinct weight and 4 per term.  The same index always gives
+    the same bytes.  The file is written under a temporary name in the same
     directory and then renamed over ``path``, so a failed write leaves any
     old file as it was.
     """
     documents = index.documents
-    terms_width, terms = index.terms.section()
-    postings = [terms, *map(_little_endian, (
-        index.bounds[1:], index.ordinals, index.weight_table, index.run_starts[1:], index.run_codes,
-        index.run_lengths,
-    ))]
-    ids_width, ids = documents.ids.section()
-    ids = zlib.compress(ids)
+    sections = {
+        "term_lengths": index.terms.lengths(), "terms": index.terms.blob, "term_ends": index.bounds[1:],
+        "ordinals": index.ordinals, "weights": index.weight_table, "run_ends": index.run_starts[1:],
+        "run_codes": index.run_codes, "run_lengths": index.run_lengths, "id_lengths": documents.ids.lengths(),
+        "ids": zlib.compress(documents.ids.blob), "dictionary": documents.dictionary,
+        "document_ends": documents.ends, "document_crcs": documents.crcs,
+    }
+    stored = [_little_endian(sections[name]) for name, _ in _SECTIONS]
     header = {
         "version": INDEX_VERSION,
-        "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
-        "term_count": len(index.terms),
-        "posting_count": len(index.ordinals),
-        "weight_count": len(index.weight_table),
-        "run_count": len(index.run_codes),
-        "widths": {
-            "terms": terms_width,
-            "ordinals": index.ordinals.itemsize,
-            "codes": index.run_codes.itemsize,
-            "lengths": index.run_lengths.itemsize,
-            "ids": ids_width,
-        },
-        "terms_bytes": len(terms),
-        "ids_bytes": len(ids),
-        "dictionary_bytes": len(documents.dictionary),
-        "postings_crc": functools.reduce(lambda crc, section: zlib.crc32(section, crc), postings, 0),
+        "sections": [[name, getattr(section, "typecode", ""), len(section)]
+                     for (name, _), section in zip(_SECTIONS, stored)],
+        "crc": functools.reduce(lambda crc, section: zlib.crc32(section, crc), stored, 0),
     }
     partial = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     handle = open(partial, "xb")
@@ -743,12 +721,8 @@ def save_index(index: Index, path: str) -> None:
         with handle:
             handle.write(_MAGIC_LINE)
             handle.write(json.dumps(header).encode("ascii") + b"\n")
-            for section in postings:
+            for section in stored:
                 handle.write(section)
-            handle.write(ids)
-            handle.write(documents.dictionary)
-            _little_endian(documents.ends).tofile(handle)
-            _little_endian(documents.crcs).tofile(handle)
             handle.write(documents.read(0, documents.ends[-1]))
         os.replace(partial, path)
     except BaseException:
@@ -777,7 +751,9 @@ def _foreign_file_error(path: str, data: bytes) -> CorpusError:
 
 
 def _read_header(path: str, line: bytes) -> dict:
-    """The header, checked for the keys and value types load_index uses."""
+    """The header, checked for the keys and value types load_index uses:
+    ``sections`` names ``_SECTIONS`` in order, each with one of its
+    typecodes and a count."""
     try:
         header = json.loads(line)
     except ValueError:
@@ -786,39 +762,37 @@ def _read_header(path: str, line: bytes) -> dict:
         raise CorpusError(f"{path}: corrupt index header")
     if header.get("version") != INDEX_VERSION:
         raise _rebuild_error(path, header.get("version"))
-    integers = [header.get(key) for key in (
-        "doc_count", "term_count", "posting_count", "weight_count", "run_count", "terms_bytes", "ids_bytes",
-        "dictionary_bytes", "postings_crc",
-    )]
-    widths = header.get("widths")
+    sections = header.get("sections")
     if not (
-        set(map(type, integers)) <= {int} and min(integers) >= 0
-        and type(header.get("avg_doc_length")) in (int, float)
-        and isinstance(widths, dict) and sorted(widths) == ["codes", "ids", "lengths", "ordinals", "terms"]
-        and all(type(width) is int and width in _TYPECODES for width in widths.values())
+        type(header.get("crc")) is int and type(header.get("avg_doc_length")) in (int, float)
+        and isinstance(sections, list) and len(sections) == len(_SECTIONS)
+        and all(
+            isinstance(section, list) and len(section) == 3 and section[0] == name and section[1] in typecodes
+            and type(section[2]) is int and section[2] >= 0
+            for section, (name, typecodes) in zip(sections, _SECTIONS)
+        )
     ):
         raise CorpusError(f"{path}: corrupt index header")
     return header
 
 
 def load_index(path: str) -> Index:
-    """Read an index in format v9, as written by save_index.
+    """Read an index in format v10, as written by save_index.
 
     Raises CorpusError naming ``path`` for a file that is not a graphfc
     index, for another format version (older files, JSON ones included, must
     be rebuilt), for a file that is truncated, longer than its header says,
-    whose header or doc_id list is corrupt or whose postings do not match
-    their CRC-32 or their header, and for an index with no documents.  The
-    header sizes every read before the CRC-32 is compared, so a corrupt byte
-    in the postings is reported as such.  The terms and the doc_ids are
-    kept as the bytes they were read as (``StringTable``), nothing is built
-    per term, document or posting.  The document streams are left in the
-    file: the index keeps the file open and reads each document's stream
-    when that document is first read (``DocumentTable.in_file``).  So the
-    file must not be rewritten in place while the index is in use;
-    save_index replaces it by a rename, which is safe.  A corrupt or
-    unreadable document stream raises CorpusError when that document is
-    first read.
+    whose header is corrupt, whose sections do not match their CRC-32 or do
+    not add up, and for an index with no documents.  The header sizes every
+    read before the CRC-32 is compared, so a corrupt byte in any section is
+    reported as such.  The terms and the doc_ids are kept as the bytes they
+    were read as (``StringTable``), nothing is built per term, document or
+    posting.  The document streams are left in the file: the index keeps
+    the file open and reads each document's stream when that document is
+    first read (``DocumentTable.in_file``).  So the file must not be
+    rewritten in place while the index is in use; save_index replaces it by
+    a rename, which is safe.  A corrupt or unreadable document stream raises
+    CorpusError when that document is first read.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC_LINE))
@@ -826,59 +800,42 @@ def load_index(path: str) -> Index:
             raise _foreign_file_error(path, magic + handle.read() if magic[:1] == b"{" else b"")
         header = _read_header(path, handle.readline())
         file_bytes = os.fstat(handle.fileno()).st_size
-
-        def check_left(size: int) -> None:  # before allocating what a corrupt size asks for
-            if size > file_bytes - handle.tell():
+        sections, crc = {}, 0
+        for name, typecode, count in header["sections"]:
+            # Sized before allocating what a corrupt count asks for.
+            if count * (array(typecode).itemsize if typecode else 1) > file_bytes - handle.tell():
                 raise CorpusError(f"{path}: index file is truncated")
-
-        def read(size: int) -> bytes:
-            check_left(size)
-            return handle.read(size)
-
-        def read_array(typecode: str, count: int) -> array:
-            zero = array(typecode, [0])
-            check_left(count * zero.itemsize)
-            values = zero * count
-            handle.readinto(values)  # in place: fromfile reads a copy first, 5x slower here
-            return values
-
-        terms = read(header["terms_bytes"])
-        crc = zlib.crc32(terms)
-
-        def read_postings(typecode: str, count: int) -> array:
-            nonlocal crc
-            values = read_array(typecode, count)
+            if typecode:
+                values = array(typecode, [0]) * count
+                handle.readinto(values)  # in place: fromfile reads a copy first, 5x slower here
+            else:
+                values = handle.read(count)
             crc = zlib.crc32(values, crc)  # the file's bytes, before any byte swap
-            return _little_endian(values)
-
-        term_count, widths = header["term_count"], header["widths"]
-        bounds = array("I", [0]) + read_postings("I", term_count)
-        ordinals = read_postings(_TYPECODES[widths["ordinals"]], header["posting_count"])
-        weight_table = read_postings("d", header["weight_count"])
-        run_starts = array("I", [0]) + read_postings("I", term_count)
-        run_codes = read_postings(_TYPECODES[widths["codes"]], header["run_count"])
-        run_lengths = read_postings(_TYPECODES[widths["lengths"]], header["run_count"])
-        if crc != header["postings_crc"]:
-            raise CorpusError(f"{path}: corrupt postings (their CRC-32 does not match)")
-        terms = StringTable.from_section(terms, term_count, widths["terms"])
-        if terms is None or bounds[-1] != len(ordinals) or run_starts[-1] != len(run_codes):
-            raise CorpusError(f"{path}: corrupt postings (their counts do not add up)")
-        ids = read(header["ids_bytes"])
+            sections[name] = _little_endian(values)
+        if crc != header["crc"]:
+            raise CorpusError(f"{path}: corrupt index (its CRC-32 does not match)")
+        bounds = array("I", [0]) + sections["term_ends"]
+        run_starts = array("I", [0]) + sections["run_ends"]
+        ends, crcs = sections["document_ends"], sections["document_crcs"]
         try:
-            ids = StringTable.from_section(zlib.decompress(ids), header["doc_count"], widths["ids"])
-        except zlib.error:
+            terms = StringTable(sections["terms"], sections["term_lengths"])
+            ids = StringTable(zlib.decompress(sections["ids"]), sections["id_lengths"])
+        except (zlib.error, OverflowError):  # the ids do not inflate, or lengths add up past 4 GiB
             ids = None
-        if ids is None:
-            raise CorpusError(f"{path}: corrupt doc_id list")
-        dictionary = read(header["dictionary_bytes"])
-        document_ends = _little_endian(read_array("I", len(ids)))
-        crcs = _little_endian(read_array("I", len(ids)))
-        streams_bytes = document_ends[-1] if ids else 0
-        check_left(streams_bytes)
+        if ids is None or not (
+            terms.starts[-1] == len(terms.blob) and ids.starts[-1] == len(ids.blob)
+            and len(terms) == len(bounds) - 1 == len(run_starts) - 1 and bounds[-1] == len(sections["ordinals"])
+            and run_starts[-1] == len(sections["run_codes"]) == len(sections["run_lengths"])
+            and len(ids) == len(ends) == len(crcs)
+        ):
+            raise CorpusError(f"{path}: corrupt index (its sections do not add up)")
+        streams_bytes = ends[-1] if ends else 0
+        if streams_bytes > file_bytes - handle.tell():
+            raise CorpusError(f"{path}: index file is truncated")
         if streams_bytes < file_bytes - handle.tell():
             raise CorpusError(f"{path}: index file is longer than its header says")
-        documents = DocumentTable.in_file(handle, path, ids, dictionary, document_ends, crcs)
+        documents = DocumentTable.in_file(handle, path, ids, sections["dictionary"], ends, crcs)
     return Index(
-        documents, terms, bounds, ordinals, weight_table, run_starts, run_codes, run_lengths,
-        header["avg_doc_length"],
+        documents, terms, bounds, sections["ordinals"], sections["weights"], run_starts, sections["run_codes"],
+        sections["run_lengths"], header["avg_doc_length"],
     )

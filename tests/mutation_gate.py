@@ -67,6 +67,18 @@ MUTANTS = [
            "file_bytes = os.fstat(handle.fileno()).st_size",
            "file_bytes = os.fstat(open(path, \"rb\").fileno()).st_size",
            ("tests/test_retrieval.py",), python_options=DEV_MODE),
+    Mutant("section-left-out-of-the-crc", RETRIEVAL,
+           "crc = zlib.crc32(values, crc)  # the file's bytes",
+           "crc = zlib.crc32(values, crc) if name != \"dictionary\" else crc  # the file's bytes",
+           ("tests/test_retrieval.py",)),
+    Mutant("section-size-unchecked", RETRIEVAL,
+           "if count * (array(typecode).itemsize if typecode else 1) > file_bytes - handle.tell():",
+           "if False:",
+           ("tests/test_retrieval.py",)),
+    Mutant("any-typecode-accepted", RETRIEVAL,
+           "section[0] == name and section[1] in typecodes",
+           "section[0] == name",
+           ("tests/test_retrieval.py",)),
     Mutant("term-bisection-off-by-one", RETRIEVAL,
            "max(0, end - _SAMPLED)",
            "max(0, end - _SAMPLED + 1)",

@@ -17,7 +17,7 @@ from graphfc.evaluate import macro_f1
 
 from clifixtures import build_eval_fixture, make_claims
 from stub_server import StubServer
-from test_retrieval import set_document_crcs, set_ordinal_top_bytes
+from test_retrieval import set_ordinal_top_bytes, zero_document_streams
 
 
 # Each override flag of ``eval``: its argument, a valid value and the value
@@ -137,15 +137,15 @@ class TestIndexCommand:
         set_ordinal_top_bytes(Path(fixture["index"]))
         code = cli.main(["verify", "--config", fixture["config"], "--claim-id", "dir00"])
         assert code == cli.EXIT_DATA == 2
-        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt postings ")
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt index ")
 
     def test_corrupt_ordinals_fail_eval_as_data_error(self, fixture, capsys):
         set_ordinal_top_bytes(Path(fixture["index"]))
         assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
-        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt postings ")
+        assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt index ")
 
     def test_corrupt_documents_fail_eval_and_verify_as_data_error(self, fixture, capsys):
-        set_document_crcs(Path(fixture["index"]))
+        zero_document_streams(Path(fixture["index"]))
         assert cli.main(["eval", "--config", fixture["config"]]) == cli.EXIT_DATA == 2
         assert capsys.readouterr().err.startswith(f"data error: {fixture['index']}: corrupt document ")
         code = cli.main(["verify", "--config", fixture["config"], "--claim-id", "dir00"])

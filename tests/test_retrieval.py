@@ -393,7 +393,7 @@ class TestTermLookup:
         path = tmp_path / "index"
         save_index(index, str(path))
         header, _ = index_sections(path.read_bytes())
-        assert header["widths"]["terms"] == header["widths"]["ids"] == 2
+        assert typecodes(header)["term_lengths"] == typecodes(header)["id_lengths"] == "H"
         loaded = load_index(str(path))
         assert list(loaded.terms) == ["a" * 300, "b", "c"] and loaded.postings("a" * 300)[0] == 0
         assert loaded.get_document("i" * 300) == docs[0]
@@ -639,12 +639,10 @@ class TestPersistence:
 
     def test_empty_index_is_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
-        ids = zlib.compress(b"")
+        ids = zlib.compress(b"")  # every other section is empty
         header = {
-            "version": retrieval.INDEX_VERSION, "doc_count": 0, "avg_doc_length": 0.0, "term_count": 0,
-            "posting_count": 0, "weight_count": 0, "run_count": 0,
-            "widths": {"terms": 1, "ordinals": 1, "codes": 1, "lengths": 1, "ids": 1},
-            "terms_bytes": 0, "ids_bytes": len(ids), "dictionary_bytes": 0, "postings_crc": 0,
+            "version": retrieval.INDEX_VERSION, "avg_doc_length": 0.0, "crc": zlib.crc32(ids),
+            "sections": [[name, codes[-1], len(ids) if name == "ids" else 0] for name, codes in retrieval._SECTIONS],
         }
         path.write_bytes(b"graphfc-index\n" + json.dumps(header).encode() + b"\n" + ids)
         with pytest.raises(CorpusError, match="index has no documents"):
@@ -684,55 +682,32 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f"version {newer} .*re-run `graphfc index`"):
             load_index(str(path))
 
-    def test_version_8_file_is_rejected(self, tmp_path, tiny_index):
+    @pytest.mark.parametrize("version", [
+        # v9 sized each section by its own header key, kept each string
+        # table's lengths and bytes as one section, and its CRC-32 covered
+        # the postings only.
+        9,
         # v8 kept the terms \n-joined in first-seen order and the doc_ids as
         # a JSON array, and its header did not count the terms or postings.
-        path = tmp_path / "index"
-        save_index(tiny_index, str(path))
-        rewrite_header(path, version=8)
-        with pytest.raises(CorpusError, match="version 8 .*re-run `graphfc index`"):
-            load_index(str(path))
-
-    def test_version_7_file_is_rejected(self, tmp_path, tiny_index):
-        # v7 had the same layout with BM25's k1 and b in the header and no
+        8,
+        # v7 had v8's layout with BM25's k1 and b in the header and no
         # CRC-32 over the postings.
-        path = tmp_path / "index"
-        save_index(tiny_index, str(path))
-        rewrite_header(path, version=7)
-        with pytest.raises(CorpusError, match="version 7 .*re-run `graphfc index`"):
-            load_index(str(path))
-
-    def test_version_6_file_is_rejected(self, tmp_path, tiny_index):
+        7,
         # v6 stored a float64 weight and a uint32 end per run, where v7 stores
         # a code into one table of the distinct weights and a length per run.
-        path = tmp_path / "index"
-        save_index(tiny_index, str(path))
-        rewrite_header(path, version=6)
-        with pytest.raises(CorpusError, match="version 6 .*re-run `graphfc index`"):
-            load_index(str(path))
-
-    def test_version_5_file_is_rejected(self, tmp_path, tiny_index):
+        6,
         # v5 stored every posting's weight, where v6 stores runs of equal weight.
-        path = tmp_path / "index"
-        save_index(tiny_index, str(path))
-        rewrite_header(path, version=5)
-        with pytest.raises(CorpusError, match="version 5 .*re-run `graphfc index`"):
-            load_index(str(path))
-
-    def test_version_4_file_is_rejected(self, tmp_path, tiny_index):
+        5,
         # v4 kept the terms in the header and the documents in one zlib blob.
+        4,
+        # v3 had v4's layout with each term's postings in ordinal order.
+        3,
+    ])
+    def test_retired_version_is_rejected(self, tmp_path, tiny_index, version):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        rewrite_header(path, version=4)
-        with pytest.raises(CorpusError, match="version 4 .*re-run `graphfc index`"):
-            load_index(str(path))
-
-    def test_version_3_file_is_rejected(self, tmp_path, tiny_index):
-        # v3 had the same layout with each term's postings in ordinal order.
-        path = tmp_path / "index"
-        save_index(tiny_index, str(path))
-        rewrite_header(path, version=3)
-        with pytest.raises(CorpusError, match="version 3 .*re-run `graphfc index`"):
+        rewrite_header(path, version=version)
+        with pytest.raises(CorpusError, match=f"version {version} .*re-run `graphfc index`"):
             load_index(str(path))
 
     @given(corpora())
@@ -779,7 +754,7 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(index, str(path))
         header, _ = index_sections(path.read_bytes())
-        assert header["widths"]["ordinals"] == 2  # 300 documents: ordinals up to 299
+        assert typecodes(header)["ordinals"] == "H"  # 300 documents: ordinals up to 299
         loaded = load_index(str(path))
         assert loaded.ordinals.typecode == index.ordinals.typecode == "H"
         for query in ("the zeta", "zeta eta of", "theta the and t3", "iota kappa t1", "of of kappa", "t6"):
@@ -791,21 +766,29 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(build_index(TINY[:1]), str(path))
         old = path.read_bytes()
-        calls = []
+        calls, listed = [], []
 
-        def fail_on_the_weights(values):
+        def fail_on_the_weights(values):  # before the file is opened
             calls.append(values)
-            if len(calls) == 4:  # everything up to the term ends and the ordinals is written
+            if len(calls) == 5:  # the sections up to the ordinals are laid out
                 raise OSError("disk full")
             return values
 
-        monkeypatch.setattr(retrieval, "_little_endian", fail_on_the_weights)
-        with pytest.raises(OSError, match="disk full"):
-            save_index(tiny_index, str(path))
-        assert [values.typecode for values in calls] == ["B", "I", "B", "d"]
-        assert path.read_bytes() == old
-        assert os.listdir(tmp_path) == ["index"]
-        monkeypatch.undo()
+        def fail_on_the_streams(start, end):  # once the header and the sections are written
+            listed.append(sorted(os.listdir(tmp_path)))
+            raise OSError("disk full")
+
+        for target, name, failure in ((retrieval, "_little_endian", fail_on_the_weights),
+                                      (tiny_index.documents, "read", fail_on_the_streams)):
+            monkeypatch.setattr(target, name, failure)
+            with pytest.raises(OSError, match="disk full"):
+                save_index(tiny_index, str(path))
+            monkeypatch.undo()
+            assert path.read_bytes() == old
+            assert os.listdir(tmp_path) == ["index"]
+        assert [getattr(values, "typecode", "") for values in calls] == ["B", "", "I", "B", "d"]
+        # The partly written file was there when the write failed, and is gone.
+        assert len(listed) == 1 and listed[0][0] == "index" and listed[0][1].endswith(".tmp")
         save_index(tiny_index, str(path))
         assert os.listdir(tmp_path) == ["index"]
         assert search(load_index(str(path)), "x y", k=3) == search(tiny_index, "x y", k=3)
@@ -864,13 +847,27 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         header, _ = index_sections(path.read_bytes())
+
+        def counts(**changes):  # the header's table with each named count changed
+            return [[name, code, changes[name](count) if name in changes else count]
+                    for name, code, count in header["sections"]]
+
+        more, less = (lambda count: count + 1), (lambda count: count - 1)
+        add_up = r"corrupt index \(its sections do not add up\)$"
         for changes, problem in (
-            ({"doc_count": header["doc_count"] + 1}, "corrupt doc_id list"),
-            ({"doc_count": header["doc_count"] - 1}, "corrupt doc_id list"),
-            ({"ids_bytes": header["ids_bytes"] - 1}, "corrupt doc_id list"),
-            ({"terms_bytes": header["terms_bytes"] + 10 ** 12}, "index file is truncated"),
-            ({"dictionary_bytes": -1}, "corrupt index header"),
-            ({"doc_count": "3"}, "corrupt index header"),
+            ({"sections": counts(id_lengths=more)}, CRC_MISMATCH),
+            ({"sections": counts(id_lengths=less)}, CRC_MISMATCH),
+            ({"sections": counts(ids=less)}, CRC_MISMATCH),
+            # The same bytes, split otherwise: the ids' zlib stream is cut.
+            ({"sections": counts(id_lengths=more, ids=less)}, add_up),
+            # One more term length, which the terms' bytes do not hold.
+            ({"sections": counts(term_lengths=more, terms=less)}, add_up),
+            ({"sections": counts(document_ends=more, document_crcs=less)}, add_up),
+            ({"sections": counts(terms=lambda count: count + 10 ** 12)}, "index file is truncated"),
+            ({"sections": counts(dictionary=lambda count: -1)}, "corrupt index header"),
+            ({"sections": counts(id_lengths=str)}, "corrupt index header"),
+            ({"sections": counts(run_codes=float)}, "corrupt index header"),
+            ({"crc": str(header["crc"])}, "corrupt index header"),
         ):
             save_index(tiny_index, str(path))
             rewrite_header(path, **changes)
@@ -882,19 +879,46 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: index file is longer than its header says"):
             load_index(str(path))
 
+    # An integer section's typecode gives its width: "B", "H" or "I", 1, 2
+    # or 4 bytes.  Each case gives one section's typecode another value, or
+    # none (None).
     @pytest.mark.parametrize("widths", [
-        {"terms": 1, "ordinals": 1, "codes": 3, "lengths": 1, "ids": 1},
-        {"terms": 1, "ordinals": 8, "codes": 1, "lengths": 1, "ids": 1},
-        {"terms": 1, "ordinals": 1, "codes": 1, "lengths": True, "ids": 1},
-        {"terms": 1, "ordinals": 1, "codes": 1, "ids": 1},
-        {"terms": 0, "ordinals": 1, "codes": 1, "lengths": 1, "ids": 1},
-        {"terms": 1, "ordinals": 1, "codes": 1, "lengths": 1, "ids": 2 ** 40},
-        [1, 1, 1, 1, 1],
+        {"run_codes": 3},  # a width of 3 bytes, which no typecode has
+        {"ordinals": "Q"},  # 8 bytes
+        {"run_lengths": True},
+        {"run_lengths": None},
+        {"term_lengths": 0},
+        {"id_lengths": 2 ** 40},
+        {"ordinals": ["B"]},
     ])
     def test_widths_must_be_1_2_or_4(self, tmp_path, tiny_index, widths):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
-        rewrite_header(path, widths=widths)
+        header, _ = index_sections(path.read_bytes())
+        table = [[name, widths.get(name, code), count] for name, code, count in header["sections"]]
+        table = [[name, count] if code is None else [name, code, count] for name, code, count in table]
+        rewrite_header(path, sections=table)
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt index header"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda table: [["term_bytes" if entry[0] == "terms" else entry[0], *entry[1:]] for entry in table],
+                     id="renamed"),
+        pytest.param(lambda table: [table[1], table[0], *table[2:]], id="swapped"),
+        pytest.param(lambda table: table[:-1], id="missing"),
+        pytest.param(lambda table: table + [["streams", "", 0]], id="extra"),
+        pytest.param(lambda table: {name: [code, count] for name, code, count in table}, id="not-a-list"),
+        pytest.param(lambda table: retyped(table, "term_ends", "H"), id="narrowed-uint32"),
+        pytest.param(lambda table: retyped(table, "ordinals", "d"), id="float-integers"),
+        pytest.param(lambda table: retyped(table, "weights", "I"), id="integer-weights"),
+        pytest.param(lambda table: retyped(table, "terms", "B"), id="typed-bytes"),
+        pytest.param(lambda table: retyped(table, "run_codes", ""), id="untyped-integers"),
+    ])
+    def test_sections_must_be_listed_in_file_order_with_their_typecodes(self, tmp_path, tiny_index, edit):
+        path = tmp_path / "index"
+        save_index(tiny_index, str(path))
+        header, _ = index_sections(path.read_bytes())
+        rewrite_header(path, sections=edit(header["sections"]))
         with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt index header"):
             load_index(str(path))
 
@@ -902,12 +926,10 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = path.read_bytes()
-        header, sections = index_sections(data)
-        terms_at, ends_at = sections["terms"][0], sections["ends"][0]
-        # The terms' section: their lengths, then their bytes.
-        bytes_at = terms_at + header["term_count"] * item_width(header, "term_lengths")
+        _, sections = index_sections(data)
+        lengths_at, bytes_at, ends_at = (sections[name][0] for name in ("term_lengths", "terms", "term_ends"))
         terms = list(tiny_index.terms)
-        ends = array("I", data[slice(*sections["ends"])])
+        ends = array("I", data[slice(*sections["term_ends"])])
         z = terms.index("z")
         for position, replacement in (
             (ends_at, bytes(4)),  # the first term holds no posting
@@ -915,24 +937,31 @@ class TestPersistence:
             (ends_at + 4 * (len(ends) - 1), bytes(4)),  # the ends decrease
             (bytes_at + len("".join(terms[:z])), b"x"),  # "z" becomes a second "x"
             (bytes_at, b"\xff"),  # not UTF-8
-            (terms_at, bytes([data[terms_at] + 1])),  # the first term is a byte longer
+            (lengths_at, bytes([data[lengths_at] + 1])),  # the first term is a byte longer
         ):
             corrupt = bytearray(data)
             corrupt[position:position + len(replacement)] = replacement
             path.write_bytes(bytes(corrupt))
-            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt postings"):
+            with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: {CRC_MISMATCH}"):
                 load_index(str(path))
 
     @pytest.mark.parametrize("section", ["streams", "crcs"])
     def test_corrupt_document_is_rejected_on_first_read(self, tmp_path, section):
+        # A corrupt stream is found when its document is first read; a
+        # corrupt document CRC-32, which the header's CRC-32 covers, at load.
         path = tmp_path / "index"
         save_index(build_index(TINY), str(path))
         data = path.read_bytes()
         _, sections = index_sections(data)
         for ordinal in range(len(TINY)):
             corrupt = bytearray(data)
-            offset = document_start(data, sections, ordinal) if section == "streams" else 4 * ordinal
-            corrupt[sections[section][0] + offset] ^= 0x20
+            if section == "crcs":
+                corrupt[sections["document_crcs"][0] + 4 * ordinal] ^= 0x20
+                path.write_bytes(bytes(corrupt))
+                with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: {CRC_MISMATCH}"):
+                    load_index(str(path))
+                continue
+            corrupt[sections["streams"][0] + document_start(data, sections, ordinal)] ^= 0x20
             path.write_bytes(bytes(corrupt))
             loaded = load_index(str(path))  # no document is read at load
             for _ in range(2):  # a failed first read keeps nothing
@@ -955,7 +984,7 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         set_ordinal_top_bytes(path)
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: {CRC_MISMATCH}"):
             load_index(str(path))
 
     # "x" is in 2 of TINY's 3 documents, so its weights are held as a row,
@@ -994,13 +1023,15 @@ class TestPersistence:
         save_index(index, str(path))
         data = bytearray(path.read_bytes())
         header, sections = index_sections(bytes(data))
-        width = item_width(header, section)
-        # The run ends section holds each term's end, so x's is its item x.
+        # The file's run ends are run_starts less its leading 0: each term's
+        # end, so x's is its item x.
+        name = "run_ends" if section == "run_starts" else section
+        width = array(typecodes(header)[name]).itemsize
         first = {"ordinals": first_posting, "run_codes": first_run, "run_lengths": first_run, "run_starts": x}
-        start = sections[section][0] + first[section] * width
+        start = sections[name][0] + first[section] * width
         data[start:start + 2 * width] = b"".join(value.to_bytes(width, "little") for value in values)
         path.write_bytes(bytes(data))
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: {CRC_MISMATCH}"):
             load_index(str(path))
 
     @pytest.mark.parametrize("docs", [TINY, TINY + [Document(f"p{i:02d}", "", "pad") for i in range(13)]],
@@ -1014,42 +1045,45 @@ class TestPersistence:
         path = tmp_path / "index"
         save_index(index, str(path))
         data = bytearray(path.read_bytes())
-        start = index_sections(bytes(data))[1]["weight_table"][0] + 8 * 5
+        start = index_sections(bytes(data))[1]["weights"][0] + 8 * 5
         data[start:start + 8] = struct.pack("<d", weight)
         path.write_bytes(bytes(data))
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: corrupt postings"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: {CRC_MISMATCH}"):
             load_index(str(path))
 
     def test_last_run_must_end_the_postings(self, tmp_path, tiny_index):
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = bytearray(path.read_bytes())
-        end = index_sections(bytes(data))[1]["run_starts"][1]
+        end = index_sections(bytes(data))[1]["run_ends"][1]
         data[end - 4:end] = (len(tiny_index.run_codes) - 1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: corrupt postings"):
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: {CRC_MISMATCH}"):
             load_index(str(path))
 
     def test_any_flipped_byte_in_the_postings_is_rejected_at_load(self, tmp_path, tiny_index):
-        # The seven sections from the terms to the run lengths lie one after
-        # another, and the header's CRC-32 covers them all.  The header alone
-        # sizes every read before the CRC-32 is compared, so a flip that
-        # changes a count (a term's length or a term end) is found by the
-        # CRC-32 too.
+        # Every section lies between the header and the document streams,
+        # and the header's CRC-32 covers them all: the postings, the doc ids,
+        # the deflate dictionary and the documents' ends and CRC-32s.  The
+        # header alone sizes every read before the CRC-32 is compared, so a
+        # flip that changes a length or an end is found by the CRC-32 too.
         path = tmp_path / "index"
         save_index(tiny_index, str(path))
         data = path.read_bytes()
         _, sections = index_sections(data)
-        start, end = sections["terms"][0], sections["run_lengths"][1]
-        assert end - start > 100
+        start, end = sections["term_lengths"][0], sections["document_crcs"][1]
+        assert end == sections["streams"][0] and end - start > 200
         for position in range(start, end):
             for mask in (0x01, 0x80, 0xFF):
                 corrupt = bytearray(data)
                 corrupt[position] ^= mask
                 path.write_bytes(bytes(corrupt))
-                with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: "
-                                                      r"corrupt postings \(their CRC-32 does not match\)$"):
+                with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: {CRC_MISMATCH}"):
                     load_index(str(path))
+
+
+# What load_index reports when a section's byte differs from the one saved.
+CRC_MISMATCH = r"corrupt index \(its CRC-32 does not match\)$"
 
 
 def rewrite_header(path, **changes):
@@ -1060,48 +1094,31 @@ def rewrite_header(path, **changes):
     path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), rest]))
 
 
+def retyped(table: list, section: str, typecode) -> list:
+    """A header's section table with ``section``'s typecode replaced."""
+    return [[name, typecode if name == section else code, count] for name, code, count in table]
+
+
 def index_sections(data: bytes):
     """The header of a saved index and each section's ``(start, end)`` byte
-    offsets in ``data``, read independently of load_index."""
+    offsets in ``data``, the document streams' included, laid out by the
+    header's table independently of load_index."""
     header_start = len(b"graphfc-index\n")
     header_end = data.index(b"\n", header_start) + 1
     header = json.loads(data[header_start:header_end])
     sections, at = {}, header_end
-
-    def section(name, size):
-        nonlocal at
-        sections[name] = (at, at + size)
-        at += size
-        return data[at - 4:at]
-
-    def uint32(raw):
-        return int.from_bytes(raw, "little")
-
-    section("terms", header["terms_bytes"])
-    section("ends", 4 * header["term_count"])
-    section("ordinals", item_width(header, "ordinals") * header["posting_count"])
-    section("weight_table", 8 * header["weight_count"])
-    section("run_starts", 4 * header["term_count"])
-    section("run_codes", item_width(header, "run_codes") * header["run_count"])
-    section("run_lengths", item_width(header, "run_lengths") * header["run_count"])
-    section("ids", header["ids_bytes"])
-    section("dictionary", header["dictionary_bytes"])
-    streams = uint32(section("document_ends", 4 * header["doc_count"]))
-    section("crcs", 4 * header["doc_count"])
-    section("streams", streams)
-    assert at == len(data)
+    for name, typecode, count in header["sections"]:
+        sections[name] = (at, at + count * (array(typecode).itemsize if typecode else 1))
+        at = sections[name][1]
+    streams_bytes = int.from_bytes(data[sections["document_ends"][1] - 4:sections["document_ends"][1]], "little")
+    sections["streams"] = (at, at + streams_bytes)
+    assert at + streams_bytes == len(data)
     return header, sections
 
 
-def item_width(header: dict, section: str) -> int:
-    """Bytes per item of one of the integer sections ``index_sections``
-    names, or of the terms' lengths (``term_lengths``), in a saved index
-    with this header."""
-    widths = header["widths"]
-    return {
-        "term_lengths": widths["terms"], "ordinals": widths["ordinals"], "run_codes": widths["codes"],
-        "run_lengths": widths["lengths"],
-    }.get(section, 4)
+def typecodes(header: dict) -> dict:
+    """Each section's typecode by the header's table."""
+    return {name: typecode for name, typecode, _ in header["sections"]}
 
 
 def document_start(data: bytes, sections: dict, ordinal: int) -> int:
@@ -1116,16 +1133,18 @@ def set_ordinal_top_bytes(path, value: int = 0xFF):
     data = bytearray(path.read_bytes())
     header, sections = index_sections(bytes(data))
     start, end = sections["ordinals"]
-    width = item_width(header, "ordinals")
+    width = array(typecodes(header)["ordinals"]).itemsize
     data[start + width - 1:end:width] = bytes([value]) * ((end - start) // width)  # little-endian
     path.write_bytes(bytes(data))
 
 
-def set_document_crcs(path, value: int = 0):
-    """Set every document's CRC-32 in a saved index to ``value``."""
+def zero_document_streams(path):
+    """Set every byte of the document streams in a saved index to 0, which
+    no raw-deflate stream starts with: a stored block whose length check
+    fails."""
     data = bytearray(path.read_bytes())
-    start, end = index_sections(bytes(data))[1]["crcs"]
-    data[start:end] = value.to_bytes(4, "little") * ((end - start) // 4)
+    start, end = index_sections(bytes(data))[1]["streams"]
+    data[start:end] = bytes(end - start)
     path.write_bytes(bytes(data))
 
 
